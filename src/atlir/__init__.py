@@ -60,7 +60,6 @@ from .mc import (
     UnknownProposition,
     Verdict,
     check,
-    check_box_atomic,
 )
 from .reduction import (
     ClaimEntry,

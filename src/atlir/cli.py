@@ -87,13 +87,21 @@ def cmd_simulate(args) -> int:
         out = to_dot(rc.cgs, t)
     else:
         out = json.dumps({"levels": levels_to_json(t, RIGHTMOST_LABELS)}, indent=2) + "\n"
+    err_level = next(
+        (
+            n
+            for n in range(args.depth + 1)
+            if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n))
+        ),
+        None,
+    )
     decoded = []
     if args.decode:
-        for n in range(3, args.depth + 1, 2):
+        # levels from the error state on encode no configuration
+        stop = args.depth + 1 if err_level is None else err_level
+        for n in range(3, stop, 2):
             if len(t.nodes_at_depth(n)) == n + 1:
-                word = decode_level(rc, t, n)
-                if all(x != S_ERR for x in word):
-                    decoded.append((n, "".join(word)))
+                decoded.append((n, "".join(decode_level(rc, t, n))))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -104,13 +112,8 @@ def cmd_simulate(args) -> int:
         prefix = "// " if args.format == "dot" else ""
     for n, word in decoded:
         print(f"{prefix}level {n}: {word}")
-    err_levels = [
-        n
-        for n in range(args.depth + 1)
-        if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n))
-    ]
-    if err_levels:
-        print(f"error state reached at level {err_levels[0]}", file=sys.stderr)
+    if err_level is not None:
+        print(f"error state reached at level {err_level}", file=sys.stderr)
         return EXIT_ERR_STATE
     return EXIT_OK
 
@@ -217,13 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", help="formula text, e.g. '<<1,2>> G ok'")
     p.add_argument("-b", "--bound", type=int, help="search depth")
     p.add_argument("--job", help="checking-job file {cgs, state, formula, bound}")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker budget for the strategy search (evaluation is currently "
-        "sequential; verdicts do not depend on this)",
-    )
     p.add_argument(
         "--allow-invalid",
         action="store_true",

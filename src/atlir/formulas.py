@@ -232,6 +232,8 @@ class _Parser:
             tok = self.take()
             if not tok.text.isdigit():
                 raise FormulaSyntaxError(f"expected an agent number, found {tok.text!r}", tok.position)
+            if int(tok.text) < 1:
+                raise FormulaSyntaxError("agents are numbered from 1", tok.position)
             agents.append(int(tok.text))
             tok = self.take()
             if tok.text == ",":

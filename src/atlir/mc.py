@@ -14,9 +14,10 @@ their sound direction only:
 
 Verdicts carry evidence: True a witness, False a counterexample, and
 Unknown neither.  The evidence shape depends on the operator and is
-documented on :func:`check`.  Strategy tables are enumerated in
+documented on :func:`check`.  Strategy tables are searched in
 lexicographic order (history length, observation blocks, action name),
-so verdicts and evidence are deterministic.
+one observation class at a time, so verdicts and evidence are
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .cgs import Cgs, CgsError, History, UnknownAgent
-from .comptree import ComputationTree, extend, single_node
 from .formulas import And, Atom, Formula, Globally, Next, Not, Until, atoms, coalitions
-from .strategies import AgentStrategy, TeamStrategy, compatible_tuples
 
 
 class BoundTooSmall(ValueError):
@@ -71,20 +69,33 @@ def _flip(v: Verdict) -> Verdict:
 
 
 class _Search:
-    """Shared machinery for the strategy-table searches.
+    """Depth-first search for a uniform strategy table.
 
-    A candidate table is grown depth by depth: at each step the frontier
-    histories are grouped, per team member, into observation classes,
-    and each class is assigned one available action.  Assignments are
-    enumerated lexicographically.  Successor sets per (state, member
-    actions) are cached; so are subformula verdicts per state.
+    A candidate table is grown depth by depth.  At each depth the
+    frontier histories are grouped, per team member, into observation
+    classes (slots), and the slots are assigned one available action
+    each, one slot at a time, so tables are still tried in lexicographic
+    order.  Each frontier history is classified as soon as the last of
+    its member slots is fixed, and a partial assignment is cut, with
+    every table extending it, at its first failing history (forward
+    checking).  Successor sets and classifications per (state, member
+    actions) are cached for the whole search; subformula verdicts per
+    state are memoised by the caller.
+
+    ``classify`` maps a successor set to ``(bad, cont)``: a successor
+    that fails the objective (or None), and the successors whose
+    histories stay on the frontier.
     """
 
-    def __init__(self, g: Cgs, members: list[int]):
+    def __init__(self, g: Cgs, members: list[int], classify=None):
         self.g = g
         self.members = members
         self.free = [i for i in range(1, g.agents + 1) if i not in members]
         self._succ: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
+        self._classify = classify
+        self._classified: dict[tuple[str, tuple[str, ...]], tuple] = {}
+        # the failing path of the lexicographically first refuted table
+        self.first_failure: list[str] | None = None
 
     def successors(self, state: str, member_acts: tuple[str, ...]) -> tuple[str, ...]:
         key = (state, member_acts)
@@ -103,26 +114,99 @@ class _Search:
             self._succ[key] = got
         return got
 
-    def assignments(self, frontier: Iterable[History]):
-        """All per-class action assignments for one step, in order.
+    def classified(self, state: str, member_acts: tuple[str, ...]) -> tuple:
+        key = (state, member_acts)
+        got = self._classified.get(key)
+        if got is None:
+            got = self._classify(self.successors(state, member_acts))
+            self._classified[key] = got
+        return got
 
-        Yields dicts from (member, observation key) to an action.
+    def run(self, root: str, depth: int, horizon_ok: bool) -> dict | None:
+        """A table under which no history fails within ``depth`` steps.
+
+        Returns the table as a map from (member, observation key) to an
+        action, or None when every table fails.  A history still on the
+        frontier at the horizon counts as a success when ``horizon_ok``.
         """
-        slots: list[tuple[int, tuple[int, ...]]] = []
-        rep: dict[tuple[int, tuple[int, ...]], str] = {}
-        for m in self.members:
-            for h in frontier:
-                key = (m, self.g.obs_key(m, h))
-                if key not in rep:
-                    rep[key] = h[-1]
-                    slots.append(key)
-        slots.sort(key=lambda mk: (mk[0], len(mk[1]), mk[1]))
-        options = [self.g.available_sorted(m, rep[(m, k)]) for m, k in slots]
-        for combo in itertools.product(*options):
-            yield dict(zip(slots, combo))
+        return self._extend(((root,),), depth, horizon_ok)
 
-    def member_acts(self, assignment, h: History) -> tuple[str, ...]:
-        return tuple(assignment[(m, self.g.obs_key(m, h))] for m in self.members)
+    def _extend(
+        self, frontier: tuple[History, ...], depth_left: int, horizon_ok: bool
+    ) -> dict | None:
+        if not frontier:
+            return {}
+        if depth_left == 0:
+            return {} if horizon_ok else None
+        obs_key = self.g.obs_key
+        rep: dict[tuple[int, tuple[int, ...]], str] = {}
+        hist_slots = []
+        for h in frontier:
+            row = []
+            for m in self.members:
+                key = (m, obs_key(m, h))
+                rep.setdefault(key, h[-1])
+                row.append(key)
+            hist_slots.append(row)
+        slots = sorted(rep, key=lambda mk: (mk[0], len(mk[1]), mk[1]))
+        options = [self.g.available_sorted(m, rep[(m, k)]) for m, k in slots]
+        if not all(options):
+            # a class with no available action admits no table at all
+            return None
+        pos = {slot: i for i, slot in enumerate(slots)}
+        rows = [tuple(pos[key] for key in row) for row in hist_slots]
+        # the histories that become checkable when slot i is fixed
+        due: list[list[int]] = [[] for _ in slots]
+        for j, ix in enumerate(rows):
+            due[max(ix)].append(j)
+        n = len(slots)
+        choice = [0] * n
+        acts: list[str] = [""] * n
+        conts: list[tuple[str, ...]] = [()] * len(frontier)
+        i = 0
+        while i >= 0:
+            if i == n:
+                nxt = tuple(
+                    h + (t,) for h, cont in zip(frontier, conts) for t in cont
+                )
+                got = self._extend(nxt, depth_left - 1, horizon_ok)
+                if got is not None:
+                    got.update(zip(slots, acts))
+                    return got
+                i -= 1
+            else:
+                acts[i] = options[i][choice[i]]
+                for j in due[i]:
+                    member_acts = tuple(acts[k] for k in rows[j])
+                    bad, conts[j] = self.classified(frontier[j][-1], member_acts)
+                    if bad is not None:
+                        if self.first_failure is None:
+                            self._record_failure(frontier, rows, options, acts[: i + 1])
+                        break
+                else:
+                    i += 1
+                    if i < n:
+                        choice[i] = 0
+                    continue
+            # next option, backtracking over exhausted slots
+            while i >= 0:
+                choice[i] += 1
+                if choice[i] < len(options[i]):
+                    break
+                i -= 1
+        return None
+
+    def _record_failure(self, frontier, rows, options, prefix) -> None:
+        # The first cut refutes the table that completes its prefix with
+        # each remaining slot's first option.  Report that table's
+        # failure as a full scan would: first failing history in
+        # frontier order, first failing successor.
+        acts = prefix + [opts[0] for opts in options[len(prefix) :]]
+        for h, ix in zip(frontier, rows):
+            bad = self.classified(h[-1], tuple(acts[k] for k in ix))[0]
+            if bad is not None:
+                self.first_failure = list(h) + [bad]
+                return
 
 
 def check(g: Cgs, s: str, f: Formula, bound: int) -> Verdict:
@@ -222,36 +306,17 @@ def _check_box(g: Cgs, s: str, f: Globally, bound: int, memo) -> Verdict:
     root = _eval(g, s, f.operand, bound, memo)
     if root.value is Truth.FALSE:
         return Verdict(Truth.FALSE, bound, counterexample=[s])
-    search = _Search(g, sorted(f.agents))
-    first_bad: list[list[str]] = []
 
-    def survives(frontier: tuple[History, ...], depth_left: int) -> bool:
-        if depth_left == 0:
-            return True
-        for assignment in search.assignments(frontier):
-            nxt: dict[History, None] = {}
-            bad = None
-            for h in frontier:
-                acts = search.member_acts(assignment, h)
-                for t in search.successors(h[-1], acts):
-                    v = _eval(g, t, f.operand, bound, memo)
-                    if v.value is Truth.FALSE:
-                        bad = list(h) + [t]
-                        break
-                    nxt[h + (t,)] = None
-                if bad is not None:
-                    break
-            if bad is not None:
-                if not first_bad:
-                    first_bad.append(bad)
-                continue
-            if survives(tuple(nxt), depth_left - 1):
-                return True
-        return False
+    def classify(succs):
+        for t in succs:
+            if _eval(g, t, f.operand, bound, memo).value is Truth.FALSE:
+                return t, ()
+        return None, succs
 
-    if survives(((s,),), bound):
+    search = _Search(g, sorted(f.agents), classify)
+    if search.run(s, bound, horizon_ok=True) is not None:
         return Verdict(Truth.UNKNOWN, bound)
-    return Verdict(Truth.FALSE, bound, counterexample=first_bad[0] if first_bad else [s])
+    return Verdict(Truth.FALSE, bound, counterexample=search.first_failure or [s])
 
 
 def _check_until(g: Cgs, s: str, f: Until, bound: int, memo) -> Verdict:
@@ -261,37 +326,18 @@ def _check_until(g: Cgs, s: str, f: Until, bound: int, memo) -> Verdict:
     keep = _eval(g, s, f.left, bound, memo)
     if keep.value is not Truth.TRUE:
         return Verdict(Truth.UNKNOWN, bound)
-    search = _Search(g, sorted(f.agents))
 
-    def force(frontier: tuple[History, ...], depth_left: int, table: dict):
-        if not frontier:
-            return table
-        if depth_left == 0:
-            return None
-        for assignment in search.assignments(frontier):
-            nxt: dict[History, None] = {}
-            stuck = False
-            for h in frontier:
-                acts = search.member_acts(assignment, h)
-                for t in search.successors(h[-1], acts):
-                    vg = _eval(g, t, f.right, bound, memo)
-                    if vg.value is Truth.TRUE:
-                        continue
-                    vk = _eval(g, t, f.left, bound, memo)
-                    if vk.value is not Truth.TRUE:
-                        stuck = True
-                        break
-                    nxt[h + (t,)] = None
-                if stuck:
-                    break
-            if stuck:
+    def classify(succs):
+        cont = []
+        for t in succs:
+            if _eval(g, t, f.right, bound, memo).value is Truth.TRUE:
                 continue
-            got = force(tuple(nxt), depth_left - 1, {**table, **assignment})
-            if got is not None:
-                return got
-        return None
+            if _eval(g, t, f.left, bound, memo).value is not Truth.TRUE:
+                return t, ()
+            cont.append(t)
+        return None, tuple(cont)
 
-    table = force(((s,),), bound, {})
+    table = _Search(g, sorted(f.agents), classify).run(s, bound, horizon_ok=False)
     if table is None:
         return Verdict(Truth.UNKNOWN, bound)
     rows = [
@@ -299,81 +345,3 @@ def _check_until(g: Cgs, s: str, f: Until, bound: int, memo) -> Verdict:
         for (m, k), a in sorted(table.items())
     ]
     return Verdict(Truth.TRUE, bound, witness={"table": rows})
-
-
-def check_box_atomic(
-    g: Cgs, s: str, team: Iterable[int], p: str, bound: int
-) -> Verdict:
-    """Safety check specialised to an atomic objective.
-
-    Same verdict contract as :func:`check` on ``<<team>> G p``, but
-    implemented through explicit computation trees: candidate tables are
-    grown alongside the tree they induce, one extension step at a time,
-    and a table is refuted as soon as a node's label misses ``p``.
-    Kept separate from :func:`check` so the two can be tested against
-    each other.
-    """
-    if bound < 1:
-        raise BoundTooSmall(f"bound {bound} is below the minimal horizon 1")
-    g.check_state(s)
-    if p not in g.props:
-        raise UnknownProposition(f"undeclared proposition {p!r}")
-    members = sorted(set(int(i) for i in team))
-    if not members:
-        raise ValueError("team must be non-empty")
-    for i in members:
-        g.check_agent(i)
-    if p not in g.label[s]:
-        return Verdict(Truth.FALSE, bound, counterexample=[s])
-    first_bad: list[list[str]] = []
-
-    def class_assignments(frontier):
-        # grouping and enumeration kept separate from the search used by
-        # check(), so the two routes stay independent
-        slots = []
-        for h in frontier:
-            for m in members:
-                key = (m, g.obs_key(m, h))
-                if key not in [k for k, _ in slots]:
-                    slots.append((key, h[-1]))
-        slots.sort(key=lambda item: (item[0][0], item[0][1]))
-        options = [g.available_sorted(m, last) for (m, _), last in slots]
-        for combo in itertools.product(*options):
-            yield dict(zip((key for key, _ in slots), combo))
-
-    def survives(tree: ComputationTree, tables: dict, depth_left: int) -> bool:
-        if depth_left == 0:
-            return True
-        depth = tree.max_depth
-        leaves = tree.nodes_at_depth(depth)
-        frontier = [tree.history(v) for v in leaves]
-        for assignment in class_assignments(frontier):
-            new_tables = {m: dict(tables[m]) for m in members}
-            for (m, key), act in assignment.items():
-                new_tables[m][key] = act
-            team_strategy = TeamStrategy.of(
-                *(AgentStrategy.from_table(m, new_tables[m]) for m in members)
-            )
-            grown = tree
-            bad = None
-            for v in leaves:
-                h = grown.history(v)
-                for a in sorted(compatible_tuples(g, team_strategy, h)):
-                    grown = extend(g, team_strategy, grown, v, a)
-                    t = grown.label(v + (a,))
-                    if p not in g.label[t]:
-                        bad = list(h) + [t]
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                if not first_bad:
-                    first_bad.append(bad)
-                continue
-            if survives(grown, new_tables, depth_left - 1):
-                return True
-        return False
-
-    if survives(single_node(s), {m: {} for m in members}, bound):
-        return Verdict(Truth.UNKNOWN, bound)
-    return Verdict(Truth.FALSE, bound, counterexample=first_bad[0] if first_bad else [s])

@@ -1,15 +1,20 @@
 """Independent oracles and generators for the differential tests.
 
 Nothing here touches the strategy-search code paths under test: the
-safety oracle is a plain set fixpoint on the state graph, and the
-generator builds structures directly.
+safety oracle is a plain set fixpoint on the state graph, the reference
+checker enumerates whole strategy tables per depth, the tree twin grows
+explicit computation trees, and the generator builds structures
+directly.
 """
 
 import itertools
 import random
 
 from atlir.cgs import Cgs
-from atlir.strategies import AgentStrategy, TeamStrategy, outcomes
+from atlir.comptree import extend, single_node
+from atlir.formulas import And, Atom, Globally, Next, Not, Until
+from atlir.mc import BoundTooSmall, Truth, UnknownProposition, Verdict
+from atlir.strategies import AgentStrategy, TeamStrategy, compatible_tuples, outcomes
 
 
 def backward_induction_safe(g: Cgs, members, p: str) -> set[str]:
@@ -163,3 +168,271 @@ def random_cgs(
             for a2 in avail[2][s]:
                 delta[(s, (a1, a2))] = rng.choice(states)
     return Cgs(2, states, props, label, obs, actions, avail, delta)
+
+
+# -- reference checker -------------------------------------------------------
+#
+# The bounded checker as first written: at each depth the full product
+# of per-class actions is enumerated, and each complete table is tested
+# against the whole frontier.  Exponentially slower than atlir.mc.check
+# and meant to return the very same verdicts and evidence.
+
+
+class _ReferenceSearch:
+    def __init__(self, g: Cgs, members):
+        self.g = g
+        self.members = members
+        self.free = [i for i in range(1, g.agents + 1) if i not in members]
+        self._succ = {}
+
+    def successors(self, state, member_acts):
+        key = (state, member_acts)
+        got = self._succ.get(key)
+        if got is None:
+            free_opts = [self.g.available_sorted(i, state) for i in self.free]
+            by_agent = dict(zip(self.members, member_acts))
+            seen = []
+            for free_acts in itertools.product(*free_opts):
+                by_agent.update(zip(self.free, free_acts))
+                joint = tuple(by_agent[i] for i in range(1, self.g.agents + 1))
+                t = self.g.delta.get((state, joint))
+                if t is not None and t not in seen:
+                    seen.append(t)
+            got = tuple(seen)
+            self._succ[key] = got
+        return got
+
+    def assignments(self, frontier):
+        """All per-class action assignments for one step, in order."""
+        slots = []
+        rep = {}
+        for m in self.members:
+            for h in frontier:
+                key = (m, self.g.obs_key(m, h))
+                if key not in rep:
+                    rep[key] = h[-1]
+                    slots.append(key)
+        slots.sort(key=lambda mk: (mk[0], len(mk[1]), mk[1]))
+        options = [self.g.available_sorted(m, rep[(m, k)]) for m, k in slots]
+        for combo in itertools.product(*options):
+            yield dict(zip(slots, combo))
+
+    def member_acts(self, assignment, h):
+        return tuple(assignment[(m, self.g.obs_key(m, h))] for m in self.members)
+
+
+def reference_check(g: Cgs, s: str, f, bound: int) -> Verdict:
+    """``atlir.mc.check`` by whole-table enumeration, on valid inputs."""
+    return _ref_eval(g, s, f, bound, {})
+
+
+def _ref_eval(g, s, f, bound, memo):
+    key = (s, f)
+    if key not in memo:
+        memo[key] = _ref_eval_raw(g, s, f, bound, memo)
+    return memo[key]
+
+
+def _ref_eval_raw(g, s, f, bound, memo):
+    if isinstance(f, Atom):
+        if f.name in g.label[s]:
+            return Verdict(Truth.TRUE, bound, witness=[s])
+        return Verdict(Truth.FALSE, bound, counterexample=[s])
+    if isinstance(f, Not):
+        v = _ref_eval(g, s, f.operand, bound, memo)
+        if v.value is Truth.TRUE:
+            return Verdict(Truth.FALSE, bound, counterexample=v.witness)
+        if v.value is Truth.FALSE:
+            return Verdict(Truth.TRUE, bound, witness=v.counterexample)
+        return Verdict(Truth.UNKNOWN, bound)
+    if isinstance(f, And):
+        left = _ref_eval(g, s, f.left, bound, memo)
+        if left.value is Truth.FALSE:
+            return Verdict(Truth.FALSE, bound, counterexample=left.counterexample)
+        right = _ref_eval(g, s, f.right, bound, memo)
+        if right.value is Truth.FALSE:
+            return Verdict(Truth.FALSE, bound, counterexample=right.counterexample)
+        if left.value is Truth.TRUE and right.value is Truth.TRUE:
+            return Verdict(
+                Truth.TRUE, bound, witness={"left": left.witness, "right": right.witness}
+            )
+        return Verdict(Truth.UNKNOWN, bound)
+    if isinstance(f, Next):
+        return _ref_next(g, s, f, bound, memo)
+    if isinstance(f, Globally):
+        return _ref_box(g, s, f, bound, memo)
+    if isinstance(f, Until):
+        return _ref_until(g, s, f, bound, memo)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _ref_next(g, s, f, bound, memo):
+    members = sorted(f.agents)
+    search = _ReferenceSearch(g, members)
+    failures = []
+    saw_undecided = False
+    for combo in itertools.product(*[g.available_sorted(m, s) for m in members]):
+        succs = search.successors(s, combo)
+        verdicts = [_ref_eval(g, t, f.operand, bound, memo) for t in succs]
+        actions = dict(zip(members, combo))
+        if all(v.value is Truth.TRUE for v in verdicts):
+            return Verdict(Truth.TRUE, bound, witness={"actions": actions})
+        bad = next((t for t, v in zip(succs, verdicts) if v.value is Truth.FALSE), None)
+        if bad is None:
+            saw_undecided = True
+        else:
+            failures.append({"actions": actions, "path": [s, bad]})
+    if saw_undecided:
+        return Verdict(Truth.UNKNOWN, bound)
+    return Verdict(Truth.FALSE, bound, counterexample={"per_assignment": failures})
+
+
+def _ref_box(g, s, f, bound, memo):
+    if _ref_eval(g, s, f.operand, bound, memo).value is Truth.FALSE:
+        return Verdict(Truth.FALSE, bound, counterexample=[s])
+    search = _ReferenceSearch(g, sorted(f.agents))
+    first_bad = []
+
+    def survives(frontier, depth_left):
+        if depth_left == 0:
+            return True
+        for assignment in search.assignments(frontier):
+            nxt = {}
+            bad = None
+            for h in frontier:
+                acts = search.member_acts(assignment, h)
+                for t in search.successors(h[-1], acts):
+                    if _ref_eval(g, t, f.operand, bound, memo).value is Truth.FALSE:
+                        bad = list(h) + [t]
+                        break
+                    nxt[h + (t,)] = None
+                if bad is not None:
+                    break
+            if bad is not None:
+                if not first_bad:
+                    first_bad.append(bad)
+                continue
+            if survives(tuple(nxt), depth_left - 1):
+                return True
+        return False
+
+    if survives(((s,),), bound):
+        return Verdict(Truth.UNKNOWN, bound)
+    return Verdict(Truth.FALSE, bound, counterexample=first_bad[0] if first_bad else [s])
+
+
+def _ref_until(g, s, f, bound, memo):
+    if _ref_eval(g, s, f.right, bound, memo).value is Truth.TRUE:
+        return Verdict(Truth.TRUE, bound, witness={"satisfied_at": [s], "table": []})
+    if _ref_eval(g, s, f.left, bound, memo).value is not Truth.TRUE:
+        return Verdict(Truth.UNKNOWN, bound)
+    search = _ReferenceSearch(g, sorted(f.agents))
+
+    def force(frontier, depth_left, table):
+        if not frontier:
+            return table
+        if depth_left == 0:
+            return None
+        for assignment in search.assignments(frontier):
+            nxt = {}
+            stuck = False
+            for h in frontier:
+                acts = search.member_acts(assignment, h)
+                for t in search.successors(h[-1], acts):
+                    if _ref_eval(g, t, f.right, bound, memo).value is Truth.TRUE:
+                        continue
+                    if _ref_eval(g, t, f.left, bound, memo).value is not Truth.TRUE:
+                        stuck = True
+                        break
+                    nxt[h + (t,)] = None
+                if stuck:
+                    break
+            if stuck:
+                continue
+            got = force(tuple(nxt), depth_left - 1, {**table, **assignment})
+            if got is not None:
+                return got
+        return None
+
+    table = force(((s,),), bound, {})
+    if table is None:
+        return Verdict(Truth.UNKNOWN, bound)
+    rows = [
+        {"agent": m, "obs_history": list(k), "action": a}
+        for (m, k), a in sorted(table.items())
+    ]
+    return Verdict(Truth.TRUE, bound, witness={"table": rows})
+
+
+# -- tree twin ---------------------------------------------------------------
+
+
+def check_box_atomic(g: Cgs, s: str, team, p: str, bound: int) -> Verdict:
+    """Safety check specialised to an atomic objective.
+
+    Same verdict contract as ``atlir.mc.check`` on ``<<team>> G p``, but
+    implemented through explicit computation trees: candidate tables are
+    grown alongside the tree they induce, one extension step at a time,
+    and a table is refuted as soon as a node's label misses ``p``.
+    """
+    if bound < 1:
+        raise BoundTooSmall(f"bound {bound} is below the minimal horizon 1")
+    g.check_state(s)
+    if p not in g.props:
+        raise UnknownProposition(f"undeclared proposition {p!r}")
+    members = sorted(set(int(i) for i in team))
+    if not members:
+        raise ValueError("team must be non-empty")
+    for i in members:
+        g.check_agent(i)
+    if p not in g.label[s]:
+        return Verdict(Truth.FALSE, bound, counterexample=[s])
+    first_bad = []
+
+    def class_assignments(frontier):
+        slots = []
+        for h in frontier:
+            for m in members:
+                key = (m, g.obs_key(m, h))
+                if key not in [k for k, _ in slots]:
+                    slots.append((key, h[-1]))
+        slots.sort(key=lambda item: (item[0][0], item[0][1]))
+        options = [g.available_sorted(m, last) for (m, _), last in slots]
+        for combo in itertools.product(*options):
+            yield dict(zip((key for key, _ in slots), combo))
+
+    def survives(tree, tables, depth_left):
+        if depth_left == 0:
+            return True
+        leaves = tree.nodes_at_depth(tree.max_depth)
+        frontier = [tree.history(v) for v in leaves]
+        for assignment in class_assignments(frontier):
+            new_tables = {m: dict(tables[m]) for m in members}
+            for (m, key), act in assignment.items():
+                new_tables[m][key] = act
+            team_strategy = TeamStrategy.of(
+                *(AgentStrategy.from_table(m, new_tables[m]) for m in members)
+            )
+            grown = tree
+            bad = None
+            for v in leaves:
+                h = grown.history(v)
+                for a in sorted(compatible_tuples(g, team_strategy, h)):
+                    grown = extend(g, team_strategy, grown, v, a)
+                    t = grown.label(v + (a,))
+                    if p not in g.label[t]:
+                        bad = list(h) + [t]
+                        break
+                if bad is not None:
+                    break
+            if bad is not None:
+                if not first_bad:
+                    first_bad.append(bad)
+                continue
+            if survives(grown, new_tables, depth_left - 1):
+                return True
+        return False
+
+    if survives(single_node(s), {m: {} for m in members}, bound):
+        return Verdict(Truth.UNKNOWN, bound)
+    return Verdict(Truth.FALSE, bound, counterexample=first_bad[0] if first_bad else [s])

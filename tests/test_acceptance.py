@@ -13,11 +13,11 @@ from machines import FIVE_MACHINES, M5, M5_EXT, M_HALT
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import backward_induction_safe, random_cgs
+from oracles import backward_induction_safe, check_box_atomic, random_cgs
 
 from atlir.cgs import load_cgs, save_cgs
 from atlir.formulas import parse_formula, render_formula
-from atlir.mc import Truth, check, check_box_atomic
+from atlir.mc import Truth, check
 from atlir.reduction import (
     S_ERR,
     S_INIT,

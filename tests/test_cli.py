@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from machines import M5, M5_EXT, M_HALT
+from machines import LBOUNCE, M5, M5_EXT, M_HALT
 
 from atlir.cgs import load_cgs
 from atlir.cli import main
@@ -81,6 +81,16 @@ def test_simulate_err_exit(halt_file, capsys):
     assert "level 6" in capsys.readouterr().err
 
 
+def test_simulate_decode_stops_at_error_level(tmp_path, capsys):
+    path = tmp_path / "lbounce.json"
+    save_tm(LBOUNCE, path)
+    code = main(["simulate", str(path), "-d", "21", "--decode", "-o", str(tmp_path / "t.json")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["level 3: q0B", "level 5: aq1B", "level 7: q2ab"]
+    assert "error state reached at level 8" in captured.err
+
+
 def test_simulate_depth_zero_dot(m5_file, capsys):
     assert main(["simulate", str(m5_file), "-d", "0", "--format", "dot"]) == 0
     out = capsys.readouterr().out
@@ -132,6 +142,26 @@ def test_check_bad_formula(tmp_path, m5_file, capsys):
     main(["reduce", str(m5_file), "-o", str(cgs)])
     code = main(["check", str(cgs), "--state", "s_init", "--formula", "<<>> G ok", "-b", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("formula", ["<<0>> G ok", "<<1,0>> G ok", "<<>> G ok"])
+def test_check_coalition_errors_are_parse_errors(tmp_path, m5_file, capsys, formula):
+    cgs = tmp_path / "g.json"
+    main(["reduce", str(m5_file), "-o", str(cgs)])
+    capsys.readouterr()
+    code = main(["check", str(cgs), "--state", "s_init", "--formula", formula, "-b", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "position" in captured.err
+
+
+def test_check_jobs_flag_is_gone(tmp_path, m5_file):
+    cgs = tmp_path / "g.json"
+    main(["reduce", str(m5_file), "-o", str(cgs)])
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(cgs), "--state", "s_init", "--formula", "ok", "-b", "1", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_check_job_file(tmp_path, m5_file, capsys):

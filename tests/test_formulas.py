@@ -67,6 +67,21 @@ def test_empty_coalition():
         parse_formula("<<>> G ok")
 
 
+def test_empty_coalition_carries_position():
+    with pytest.raises(EmptyCoalition) as exc:
+        parse_formula("p & <<>> G ok")
+    assert exc.value.position == 4
+
+
+def test_agent_zero_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("<<0>> G ok")
+    assert exc.value.position == 2
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("<<1,0>> X ok")
+    assert exc.value.position == 4
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("p & ?")

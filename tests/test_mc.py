@@ -2,18 +2,19 @@ import random
 
 import pytest
 
-from oracles import backward_induction_safe, brute_force_safety_refuted, random_cgs
+from oracles import (
+    backward_induction_safe,
+    brute_force_safety_refuted,
+    check_box_atomic,
+    random_cgs,
+    reference_check,
+)
+from machines import FIVE_MACHINES, M5_EXT, M_HALT
 
 from atlir.cgs import Cgs
 from atlir.formulas import parse_formula
-from atlir.mc import (
-    BoundTooSmall,
-    Truth,
-    UnknownProposition,
-    check,
-    check_box_atomic,
-)
-from atlir.reduction import S_INIT
+from atlir.mc import BoundTooSmall, Truth, UnknownProposition, check
+from atlir.reduction import S_INIT, build_cgs
 
 
 def singleton(label_p=True):
@@ -270,3 +271,81 @@ def test_memoised_verdicts_are_deterministic(rc_halt):
     v1 = check(rc_halt.cgs, S_INIT, f, 6)
     v2 = check(rc_halt.cgs, S_INIT, f, 6)
     assert v1.to_json() == v2.to_json()
+
+
+# Formula shapes for the differential tests; {c} and {d} are coalitions.
+RANDOM_SHAPES = (
+    "<<{c}>> G p",
+    "<<{c}>> G !p",
+    "<<{c}>> p U !p",
+    "<<{c}>> !p U p",
+    "<<{c}>> X p",
+    "!<<{c}>> G p",
+    "!<<{c}>> p U <<{d}>> X !p",
+    "<<{c}>> G <<{d}>> X p",
+    "<<{c}>> X <<{d}>> G p",
+    "<<{c}>> G (p & !<<{d}>> G p)",
+    "<<{c}>> G <<{d}>> p U !p",
+    "<<{c}>> (p & <<{d}>> X p) U !<<{d}>> G p",
+)
+
+
+def test_search_matches_reference_on_random_structures():
+    # verdicts and evidence, byte for byte, against whole-table enumeration
+    rng = random.Random(15)
+    for _ in range(1000):
+        g = random_cgs(rng, max_states=5, max_actions=3, identity_obs=rng.random() < 0.3)
+        s = sorted(g.states)[rng.randrange(len(g.states))]
+        c, d = (rng.choice(["1", "2", "1,2"]) for _ in range(2))
+        f = parse_formula(rng.choice(RANDOM_SHAPES).format(c=c, d=d))
+        bound = rng.randint(1, 3)
+        assert check(g, s, f, bound).to_json() == reference_check(g, s, f, bound).to_json()
+
+
+def test_counterexample_is_the_first_refuted_tables_failure():
+    # Seeds at which the search first cuts on a history that a full scan
+    # of the refuted table does not reach first, or at which the table's
+    # unassigned classes matter; the evidence must be the full scan's.
+    for seed in (573, 901, 3369, 5734):
+        rng = random.Random(seed)
+        g = random_cgs(rng, max_states=6, max_actions=3)
+        s = sorted(g.states)[rng.randrange(len(g.states))]
+        f = parse_formula(f"<<{rng.choice(['1', '2', '1,2'])}>> G p")
+        v = check(g, s, f, 3)
+        assert v.value is Truth.FALSE
+        assert v.to_json() == reference_check(g, s, f, 3).to_json()
+
+
+# Top bound per machine at which the reference still answers `<<1,2>> G ok`
+# at s_init within about a second and a half.
+REFERENCE_BOUNDS = {
+    "two_rule": 7,
+    "right_forever": 7,
+    "right_two_symbol": 6,
+    "left_bouncing_halter": 6,
+    "three_state_loop": 5,
+    "halting": 8,
+}
+GAME_FORMULAS = (
+    "<<1>> G ok",
+    "<<3>> G ok",
+    "<<1,2>> ok U p1",
+    "<<1,2>> ok U !ok",
+    "<<1,2>> G (ok & !<<3>> X p2)",
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BOUNDS))
+def test_search_matches_reference_on_compiled_games(name):
+    g = build_cgs(dict(FIVE_MACHINES, halting=M_HALT)[name]).cgs
+    cases = [("<<1,2>> G ok", b) for b in range(1, REFERENCE_BOUNDS[name] + 1)]
+    cases += [(text, b) for text in GAME_FORMULAS for b in (1, 2, 3)]
+    for text, bound in cases:
+        f = parse_formula(text)
+        got = check(g, S_INIT, f, bound).to_json()
+        assert got == reference_check(g, S_INIT, f, bound).to_json(), (text, bound)
+
+
+def test_nonhalting_unknown_at_bound_12():
+    f = parse_formula("<<1,2>> G ok")
+    assert check(build_cgs(M5_EXT).cgs, S_INIT, f, 12).value is Truth.UNKNOWN
