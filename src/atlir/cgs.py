@@ -396,19 +396,119 @@ def cgs_to_json(g: Cgs) -> dict:
     }
 
 
+def _malformed(what: str) -> CgsError:
+    return CgsError(f"malformed game structure document: {what}")
+
+
+# The field names below are format strings, filled in only on error, so
+# a well-formed document costs no formatting.
+
+
+def _list(value, field: str, *at) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise _malformed(f"{field.format(*at)} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _strings(value, field: str, *at) -> list[str]:
+    for x in _list(value, field, *at):
+        if not isinstance(x, str):
+            raise _malformed(f"{field.format(*at)} holds {x!r}, which is not a string")
+    return value
+
+
+def _object(value, field: str, *at) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise _malformed(f"{field.format(*at)} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _per_agent(value, field: str) -> dict:
+    out = {}
+    for i, per in _object(value, field).items():
+        try:
+            out[int(i)] = per
+        except (TypeError, ValueError):
+            raise _malformed(f"{field} key {i!r} is not an agent number") from None
+    return out
+
+
+def _string_lists(values) -> bool:
+    """Whether every value is a list of strings, tested in bulk."""
+    return set(map(type, values)) <= {list} and set(
+        map(type, itertools.chain.from_iterable(values))
+    ) <= {str}
+
+
 def cgs_from_json(doc: Mapping) -> Cgs:
+    """Build a structure from its JSON document, in one pass over it.
+
+    Raises :class:`CgsError` naming the field when a key is missing, a
+    value has the wrong type, or two ``delta`` rows share a state and a
+    joint action.  Names in ``delta`` rows are checked by the
+    constructor against the declared states and actions, which are
+    strings by then.  Nested lists are tested in bulk; only a document
+    that fails is walked value by value, to name the first bad one.
+    """
+    _object(doc, "the document")
     try:
         agents = doc["agents"]
-        states = doc["states"]
-        props = doc["props"]
-        label = doc["label"]
-        obs = {int(i): blocks for i, blocks in doc["obs"].items()}
-        actions = doc["actions"]
-        avail = {int(i): per for i, per in doc["avail"].items()}
-        delta = {(s, tuple(a)): t for s, a, t in doc["delta"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CgsError(f"malformed game structure document: {exc}") from exc
+        states = _strings(doc["states"], "states")
+        props = _strings(doc["props"], "props")
+        actions = _strings(doc["actions"], "actions")
+        label = _object(doc["label"], "label")
+        if not _string_lists(label.values()):
+            for s, ps in label.items():
+                _strings(ps, "label of {!r}", s)
+        obs = _per_agent(doc["obs"], "obs")
+        for i, blocks in obs.items():
+            if not _string_lists(_list(blocks, "obs of agent {}", i)):
+                for b in blocks:
+                    _strings(b, "obs block of agent {}", i)
+        avail = _per_agent(doc["avail"], "avail")
+        for i, per in avail.items():
+            if not _string_lists(_object(per, "avail of agent {}", i).values()):
+                for s, acts in per.items():
+                    _strings(acts, "avail of agent {} at {!r}", i, s)
+        rows = _list(doc["delta"], "delta")
+    except KeyError as exc:
+        raise _malformed(f"missing field {exc}") from None
+    if not isinstance(agents, int) or isinstance(agents, bool):
+        raise _malformed(f"agents must be an integer, not {type(agents).__name__}")
+    try:
+        delta = {
+            (s, tuple(a)): t
+            for s, a, t in rows
+            if type(s) is str and type(a) is list and type(t) is str
+        }
+    except (TypeError, ValueError):
+        delta = {}
+    # every well-formed row makes exactly one transition
+    if len(delta) != len(rows):
+        raise _malformed(_delta_fault(rows))
     return Cgs(agents, states, props, label, obs, actions, avail, delta)
+
+
+def _delta_fault(rows) -> str:
+    """What is wrong with the first ``delta`` row that makes no new transition."""
+    seen = set()
+    for row in rows:
+        if not (
+            isinstance(row, (list, tuple))
+            and len(row) == 3
+            and type(row[0]) is str
+            and type(row[1]) is list
+            and type(row[2]) is str
+        ):
+            return f"delta row {row!r} must be [state, [actions], state]"
+        key = (row[0], tuple(row[1]))
+        try:
+            if key in seen:
+                return f"delta has two rows for ({row[0]!r}, {row[1]!r})"
+        except TypeError:
+            return f"delta row {row!r} names an action that is not a string"
+        seen.add(key)
+    raise AssertionError("every delta row is well-formed")
 
 
 def save_cgs(g: Cgs, path) -> None:

@@ -64,7 +64,8 @@ class ComputationTree:
         self._by_depth: dict[int, list[NodeId]] = {}
         for v in sorted(lab):
             self._by_depth.setdefault(len(v), []).append(v)
-        self._order_cache: dict[tuple, dict[int, set]] = {}
+        # per last_labels: the bit rows of levels 0, 1, .. (see _level_relation)
+        self._order_cache: dict[frozenset[str], list[list[int]]] = {}
 
     @property
     def root_label(self) -> str:
@@ -178,39 +179,48 @@ def is_complete_level(t: ComputationTree, n: int) -> bool:
     return len(t.nodes_at_depth(n)) == n + 1
 
 
-def _transitive_closure(pairs: set, items: list) -> set:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c in items:
-                if (b, c) in closed and (a, c) not in closed:
-                    closed.add((a, c))
-                    changed = True
-    return closed
+def _level_relation(
+    t: ComputationTree, last_labels: frozenset[str], n: int
+) -> list[int]:
+    """The left-of relation on level ``n``, closed under transitivity.
 
-
-def _orderings(
-    t: ComputationTree, last_labels: frozenset[str], upto: int
-) -> dict[int, set]:
-    key = (last_labels, upto)
-    cached = t._order_cache.get(key)
-    if cached is not None:
-        return cached
-    rels: dict[int, set] = {0: set()}
-    for n in range(1, upto + 1):
-        nodes = t.nodes_at_depth(n)
-        rel: set = set()
-        prev = rels[n - 1]
-        for v, w in itertools.permutations(nodes, 2):
-            if t.label(w) in last_labels:
-                rel.add((v, w))
-            if v[:-1] != w[:-1] and (v[:-1], w[:-1]) in prev:
-                rel.add((v, w))
-        rels[n] = _transitive_closure(rel, nodes)
-    t._order_cache[key] = rels
-    return rels
+    Row ``i`` is a bitset over the level's nodes (in ``nodes_at_depth``
+    order): bit ``j`` is set when node ``i`` precedes node ``j``.  Each
+    level is built once per ``last_labels`` from the level above and
+    cached on the tree.  Base edges: every node precedes each other node
+    whose label is in ``last_labels``, and a node whose parent precedes
+    a different parent precedes all of that parent's children.
+    """
+    rels = t._order_cache.setdefault(last_labels, [[0]])
+    for k in range(len(rels), n + 1):
+        above = t._by_depth[k - 1]
+        parent_pos = {v: i for i, v in enumerate(above)}
+        nodes = t._by_depth[k]
+        parents = [parent_pos[v[:-1]] for v in nodes]
+        child_mask = [0] * len(above)
+        last_mask = 0
+        for j, (v, p) in enumerate(zip(nodes, parents)):
+            child_mask[p] |= 1 << j
+            if t._labels[v] in last_labels:
+                last_mask |= 1 << j
+        inherited = []
+        for p, row in enumerate(rels[k - 1]):
+            row &= ~(1 << p)
+            got = 0
+            while row:
+                low = row & -row
+                got |= child_mask[low.bit_length() - 1]
+                row ^= low
+            inherited.append(got)
+        rows = [(last_mask & ~(1 << j)) | inherited[p] for j, p in enumerate(parents)]
+        # Warshall: for each j, OR row j into each row that has bit j set
+        for j, row_j in enumerate(rows):
+            bit = 1 << j
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | row_j
+        rels.append(rows)
+    return rels[n]
 
 
 def level(
@@ -228,9 +238,9 @@ def level(
     nodes = t.nodes_at_depth(n)
     if len(nodes) <= 1:
         return nodes
-    rel = _orderings(t, frozenset(last_labels), n)[n]
-    for v, w in itertools.combinations(nodes, 2):
-        fwd, bwd = (v, w) in rel, (w, v) in rel
+    rows = _level_relation(t, frozenset(last_labels), n)
+    for (i, v), (j, w) in itertools.combinations(enumerate(nodes), 2):
+        fwd, bwd = rows[i] >> j & 1, rows[j] >> i & 1
         if fwd and bwd:
             raise OrderingNotTotal(
                 f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
@@ -241,7 +251,8 @@ def level(
                 f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
                 f"are incomparable"
             )
-    return sorted(nodes, key=lambda v: sum(1 for w in nodes if (w, v) in rel))
+    preds = [sum(row >> i & 1 for row in rows) for i in range(len(nodes))]
+    return [nodes[i] for i in sorted(range(len(nodes)), key=preds.__getitem__)]
 
 
 # -- exports -----------------------------------------------------------------

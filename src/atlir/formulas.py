@@ -13,6 +13,12 @@ Coalition operands bind tighter than ``&``, so compound operands need
 parentheses: ``<<1>> X (p & q)``.  Negation binds tighter than
 conjunction.  Disjunction and implication are not primitives; write
 their De Morgan forms.
+
+Formulas nest at most :data:`MAX_NESTING` levels deep, counting each
+``!``, ``&``, parenthesis and coalition modality that encloses a
+subformula; deeper text is a syntax error.  The parser, the printer and
+the checker recurse once per level, so the limit keeps them inside the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 _KEYWORDS = {"X", "G", "U"}
+MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"<<|>>|[()!&,]|\d+|[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -169,6 +176,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -186,6 +194,14 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.position)
         return tok
 
+    def enter(self, tok: _Token) -> None:
+        """Descend one nesting level, at the token that opens it."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels", tok.position
+            )
+        self.depth += 1
+
     def parse(self) -> Formula:
         f = self.conj()
         tok = self.peek()
@@ -198,24 +214,35 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.text == "&":
             self.take()
-            return And(left, self.conj())
+            self.enter(tok)
+            right = self.conj()
+            self.depth -= 1
+            return And(left, right)
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok is not None and tok.text == "!":
             self.take()
-            return Not(self.unary())
+            self.enter(tok)
+            operand = self.unary()
+            self.depth -= 1
+            return Not(operand)
         return self.primary()
 
     def primary(self) -> Formula:
         tok = self.take()
         if tok.text == "(":
+            self.enter(tok)
             inner = self.conj()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.text == "<<":
-            return self.coalition(tok.position)
+            self.enter(tok)
+            f = self.coalition(tok.position)
+            self.depth -= 1
+            return f
         if tok.text in _KEYWORDS:
             raise FormulaSyntaxError(f"{tok.text!r} is a reserved word", tok.position)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):

@@ -128,16 +128,38 @@ class _Search:
         Returns the table as a map from (member, observation key) to an
         action, or None when every table fails.  A history still on the
         frontier at the horizon counts as a success when ``horizon_ok``.
-        """
-        return self._extend(((root,),), depth, horizon_ok)
 
-    def _extend(
-        self, frontier: tuple[History, ...], depth_left: int, horizon_ok: bool
-    ) -> dict | None:
-        if not frontier:
-            return {}
-        if depth_left == 0:
-            return {} if horizon_ok else None
+        Depths are searched depth first with an explicit stack, one
+        generator of one-depth assignments per depth on the current path,
+        so the bound does not add to the recursion depth.
+        """
+        levels = []
+        parts: list[tuple[list, tuple[str, ...]]] = []
+        frontier: tuple[History, ...] = ((root,),)
+        while True:
+            if not frontier or len(levels) == depth:
+                if not frontier or horizon_ok:
+                    table: dict = {}
+                    for slots, acts in parts:
+                        table.update(zip(slots, acts))
+                    return table
+            else:
+                levels.append(self._assignments(frontier))
+            # the next assignment of the deepest depth that has one left
+            while levels:
+                got = next(levels[-1], None)
+                if got is not None:
+                    break
+                levels.pop()
+            else:
+                return None
+            frontier, part = got
+            del parts[len(levels) - 1 :]
+            parts.append(part)
+
+    def _assignments(self, frontier: tuple[History, ...]):
+        """Yield ``(next frontier, (slots, actions))`` for each assignment of
+        this depth's slots under which no frontier history fails, in order."""
         obs_key = self.g.obs_key
         rep: dict[tuple[int, tuple[int, ...]], str] = {}
         hist_slots = []
@@ -152,7 +174,7 @@ class _Search:
         options = [self.g.available_sorted(m, rep[(m, k)]) for m, k in slots]
         if not all(options):
             # a class with no available action admits no table at all
-            return None
+            return
         pos = {slot: i for i, slot in enumerate(slots)}
         rows = [tuple(pos[key] for key in row) for row in hist_slots]
         # the histories that become checkable when slot i is fixed
@@ -169,10 +191,7 @@ class _Search:
                 nxt = tuple(
                     h + (t,) for h, cont in zip(frontier, conts) for t in cont
                 )
-                got = self._extend(nxt, depth_left - 1, horizon_ok)
-                if got is not None:
-                    got.update(zip(slots, acts))
-                    return got
+                yield nxt, (slots, tuple(acts))
                 i -= 1
             else:
                 acts[i] = options[i][choice[i]]
@@ -194,7 +213,6 @@ class _Search:
                 if choice[i] < len(options[i]):
                     break
                 i -= 1
-        return None
 
     def _record_failure(self, frontier, rows, options, prefix) -> None:
         # The first cut refutes the table that completes its prefix with

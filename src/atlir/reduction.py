@@ -33,8 +33,10 @@ converse direction at any finite depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .cgs import Cgs, History, obs_equiv_histories
-from .comptree import ComputationTree, OrderingNotTotal, level, saturate
+from typing import NamedTuple
+
+from .cgs import Cgs, History
+from .comptree import ComputationTree, NodeId, OrderingNotTotal, level, saturate
 from .strategies import AgentStrategy, TeamStrategy
 from .turing import (
     LEFT,
@@ -527,6 +529,20 @@ def _precedes(c1: HistoryType, c2: HistoryType) -> bool:
     return k1 is not None and k2 is not None and k1 < k2
 
 
+class _NodeFacts(NamedTuple):
+    """What the claim groups read of one tree node, computed once.
+
+    ``key1`` and ``key2`` are ``Cgs.obs_key`` of the history for agents 1
+    and 2.  Histories of one level have equal length, so two of them look
+    alike to agent i exactly when their keys for i are equal.
+    """
+
+    history: History
+    shape: HistoryType
+    key1: tuple[int, ...]
+    key2: tuple[int, ...]
+
+
 def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     """Machine-check the structural and simulation laws of the compiled game.
 
@@ -573,49 +589,64 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
         )
     )
 
-    hists: dict[int, list[History]] = {}
-    types: dict[int, list[HistoryType]] = {}
+    facts: dict[NodeId, _NodeFacts] = {}
     orders: dict[int, list] = {}
     order_fail: dict[int, str] = {}
     for n in range(limit + 1):
-        nodes = t.nodes_at_depth(n)
-        hists[n] = [t.history(v) for v in nodes]
-        types[n] = [classify_history(h) for h in hists[n]]
+        for v in t.nodes_at_depth(n):
+            s = t.label(v)
+            up = facts[v[:-1]] if v else _NodeFacts((), ROOT, (), ())
+            h = up.history + (s,)
+            # observation keys are pointwise, so each extends its parent's
+            facts[v] = _NodeFacts(
+                h,
+                classify_history(h),
+                up.key1 + (g.block_of(1, s),),
+                up.key2 + (g.block_of(2, s),),
+            )
         try:
             orders[n] = level(t, n, RIGHTMOST_LABELS)
         except OrderingNotTotal as exc:
             order_fail[n] = str(exc)
 
-    _check_pair_equivalences(g, hists, types, limit, entries)
-    _check_level_structure(t, types, orders, order_fail, limit, entries)
+    _check_pair_equivalences(t, facts, limit, entries)
+    _check_level_structure(t, facts, orders, order_fail, limit, entries)
     complete = {n for n in range(1, limit + 1) if len(t.nodes_at_depth(n)) == n + 1}
-    forms = _check_level_anatomy(rc, t, orders, order_fail, complete, entries)
+    forms = _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries)
     _check_form_succession(forms, complete, limit, entries)
     _check_decoding(rc, t, complete, order_fail, limit, entries)
 
     return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
 
 
-def _check_pair_equivalences(g, hists, types, limit, entries):
+def _check_pair_equivalences(t, facts, limit, entries):
     for n in range(1, limit + 1):
         ok = {k: True for k in ("1.1", "1.2", "1.3", "1.4")}
         why = {k: "" for k in ok}
-        rows = list(zip(hists[n], types[n]))
-        for h1, c1 in rows:
-            for h2, c2 in rows:
+        rows = [
+            (
+                f.history,
+                f.shape,
+                f.key1,
+                f.key2,
+                starts_generator_branch(f.history),
+                (f.history.count(S_GEN), f.history.count(S_TR)),
+            )
+            for f in map(facts.__getitem__, t.nodes_at_depth(n))
+        ]
+        for h1, c1, k11, k12, gen1, counts1 in rows:
+            for h2, c2, k21, k22, gen2, counts2 in rows:
                 if h1 == h2:
                     continue
-                if c1.kind == "type1" and starts_generator_branch(h2):
-                    if obs_equiv_histories(g, 1, h1, h2):
+                if c1.kind == "type1" and gen2:
+                    if k11 == k21:
                         ok["1.1"], why["1.1"] = False, f"reference branch ~1 {c2}"
-                    if obs_equiv_histories(g, 2, h1, h2) and c2 != type2_open(1):
+                    if k12 == k22 and c2 != type2_open(1):
                         ok["1.2"], why["1.2"] = False, f"reference branch ~2 {c2}"
-                if starts_generator_branch(h1) and starts_generator_branch(h2):
-                    counts1 = (h1.count(S_GEN), h1.count(S_TR))
-                    counts2 = (h2.count(S_GEN), h2.count(S_TR))
+                if gen1 and gen2:
                     if counts1 == counts2:
                         continue
-                    if obs_equiv_histories(g, 1, h1, h2):
+                    if k11 == k21:
                         fine = (
                             c1.is_refined_type2
                             and c2.is_refined_type2
@@ -624,7 +655,7 @@ def _check_pair_equivalences(g, hists, types, limit, entries):
                         )
                         if not fine:
                             ok["1.3"], why["1.3"] = False, f"{c1} ~1 {c2}"
-                    if obs_equiv_histories(g, 2, h1, h2):
+                    if k12 == k22:
                         fine = (
                             c1.kind == "type2_closed"
                             and c2.kind == "type2_open"
@@ -640,9 +671,9 @@ def _check_pair_equivalences(g, hists, types, limit, entries):
             entries.append(ClaimEntry(1, k, n, ok[k], why[k]))
 
 
-def _check_level_structure(t, types, orders, order_fail, limit, entries):
+def _check_level_structure(t, facts, orders, order_fail, limit, entries):
     for n in range(1, limit + 1):
-        cs = types[n]
+        cs = [facts[v].shape for v in t.nodes_at_depth(n)]
         shapes_ok = len(cs) <= n + 1 and all(
             c.kind in ("type1", "type2_open", "type2_closed") for c in cs
         )
@@ -671,7 +702,7 @@ def _check_level_structure(t, types, orders, order_fail, limit, entries):
             entries.append(ClaimEntry(2, "2.4", n, False, order_fail[n]))
             entries.append(ClaimEntry(2, "2.5", n, False, order_fail[n]))
             continue
-        ordered = [classify_history(t.history(v)) for v in orders[n]]
+        ordered = [facts[v].shape for v in orders[n]]
         char_ok, detail = True, ""
         for a in range(len(ordered)):
             for b in range(a + 1, len(ordered)):
@@ -685,21 +716,20 @@ def _check_level_structure(t, types, orders, order_fail, limit, entries):
         entries.append(ClaimEntry(2, "2.5", n, True, "total order"))
 
 
-def _check_level_anatomy(rc, t, orders, order_fail, complete, entries):
-    g = rc.cgs
+def _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries):
     forms: dict[int, str] = {}
     for n in sorted(complete):
         if n in order_fail:
             continue
         labels = [t.label(v) for v in orders[n]]
-        paths = [t.history(v) for v in orders[n]]
+        row = [facts[v] for v in orders[n]]
 
         down_ok = all(len(t.nodes_at_depth(k)) == k + 1 for k in range(1, n))
         entries.append(ClaimEntry(3, "3.1", n, down_ok, ""))
 
         pos_ok, detail = True, ""
-        for k, p in enumerate(paths, start=1):
-            c = classify_history(p)
+        for k, f in enumerate(row, start=1):
+            c = f.shape
             if k == 1:
                 want = c.kind == "type1"
             elif k % 2 == 0:
@@ -712,14 +742,14 @@ def _check_level_anatomy(rc, t, orders, order_fail, complete, entries):
         entries.append(ClaimEntry(3, "3.2", n, pos_ok, detail))
 
         adj_ok, detail = True, ""
-        if len(paths) >= 2 and not obs_equiv_histories(g, 2, paths[0], paths[1]):
+        if len(row) >= 2 and row[0].key2 != row[1].key2:
             adj_ok, detail = False, "positions 1,2 not alike for agent 2"
         for i in range(1, (n + 1) // 2 + 1):
             a, b = 2 * i - 1, 2 * i  # 0-based: positions 2i and 2i+1
-            if b < len(paths) and not obs_equiv_histories(g, 1, paths[a], paths[b]):
+            if b < len(row) and row[a].key1 != row[b].key1:
                 adj_ok, detail = False, f"positions {a + 1},{b + 1} not alike for agent 1"
             c, d = 2 * i, 2 * i + 1  # 0-based: positions 2i+1 and 2i+2
-            if d < len(paths) and not obs_equiv_histories(g, 2, paths[c], paths[d]):
+            if d < len(row) and row[c].key2 != row[d].key2:
                 adj_ok, detail = False, f"positions {c + 1},{d + 1} not alike for agent 2"
         entries.append(ClaimEntry(3, "3.3", n, adj_ok, detail))
 

@@ -4,14 +4,15 @@ Nothing here touches the strategy-search code paths under test: the
 safety oracle is a plain set fixpoint on the state graph, the reference
 checker enumerates whole strategy tables per depth, the tree twin grows
 explicit computation trees, and the generator builds structures
-directly.
+directly.  The reference level ordering closes explicit pair sets, level
+by level from the root, on every call.
 """
 
 import itertools
 import random
 
 from atlir.cgs import Cgs
-from atlir.comptree import extend, single_node
+from atlir.comptree import ComputationTree, OrderingNotTotal, extend, single_node
 from atlir.formulas import And, Atom, Globally, Next, Not, Until
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, Verdict
 from atlir.strategies import AgentStrategy, TeamStrategy, compatible_tuples, outcomes
@@ -436,3 +437,75 @@ def check_box_atomic(g: Cgs, s: str, team, p: str, bound: int) -> Verdict:
     if survives(single_node(s), {m: {} for m in members}, bound):
         return Verdict(Truth.UNKNOWN, bound)
     return Verdict(Truth.FALSE, bound, counterexample=first_bad[0] if first_bad else [s])
+
+
+# -- reference level ordering --------------------------------------------------
+#
+# The left-to-right order as first written: each level's relation is a
+# set of node pairs, closed by a fixpoint, and every query rebuilds the
+# relations of all levels above it.  atlir.comptree.level must return
+# the same list or raise OrderingNotTotal with the same message.
+
+
+def _transitive_closure(pairs: set, items: list) -> set:
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closed):
+            for c in items:
+                if (b, c) in closed and (a, c) not in closed:
+                    closed.add((a, c))
+                    changed = True
+    return closed
+
+
+def _orderings(t: ComputationTree, last_labels, upto: int) -> dict[int, set]:
+    rels: dict[int, set] = {0: set()}
+    for n in range(1, upto + 1):
+        nodes = t.nodes_at_depth(n)
+        rel: set = set()
+        prev = rels[n - 1]
+        for v, w in itertools.permutations(nodes, 2):
+            if t.label(w) in last_labels:
+                rel.add((v, w))
+            if v[:-1] != w[:-1] and (v[:-1], w[:-1]) in prev:
+                rel.add((v, w))
+        rels[n] = _transitive_closure(rel, nodes)
+    return rels
+
+
+def reference_level(t: ComputationTree, n: int, last_labels=frozenset()) -> list:
+    """``atlir.comptree.level`` by explicit pair sets and their closure."""
+    nodes = t.nodes_at_depth(n)
+    if len(nodes) <= 1:
+        return nodes
+    rel = _orderings(t, frozenset(last_labels), n)[n]
+    for v, w in itertools.combinations(nodes, 2):
+        fwd, bwd = (v, w) in rel, (w, v) in rel
+        if fwd and bwd:
+            raise OrderingNotTotal(
+                f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
+                f"are ordered both ways"
+            )
+        if not fwd and not bwd:
+            raise OrderingNotTotal(
+                f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
+                f"are incomparable"
+            )
+    return sorted(nodes, key=lambda v: sum(1 for w in nodes if (w, v) in rel))
+
+
+def random_label_tree(rng: random.Random, alphabet: str, max_depth: int):
+    """A random tree with 0..3 children per node and labels from ``alphabet``."""
+    labels = {}
+    frontier = [()]
+    for _ in range(max_depth):
+        nxt = []
+        for v in frontier:
+            for k in range(rng.randint(0, 3)):
+                child = v + ((str(k),),)
+                labels[child] = rng.choice(alphabet)
+                nxt.append(child)
+        frontier = nxt
+    return ComputationTree(rng.choice(alphabet), labels)

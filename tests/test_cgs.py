@@ -1,12 +1,19 @@
+import copy
 import itertools
+import json
 
 import pytest
 
+from machines import FIVE_MACHINES, M_HALT
+
 from atlir.cgs import (
     Cgs,
+    CgsError,
     InvalidCgs,
     UnknownAction,
     UnknownState,
+    cgs_from_json,
+    cgs_to_json,
     load_cgs,
     obs_equiv_histories,
     obs_equiv_states,
@@ -14,7 +21,7 @@ from atlir.cgs import (
     successor,
     validate_cgs,
 )
-from atlir.reduction import IDLE, BR1, S_GEN, S_INIT, S_LB, S_TR
+from atlir.reduction import IDLE, BR1, S_GEN, S_INIT, S_LB, S_TR, build_cgs
 
 
 def tiny(delta=None, avail=None, obs=None):
@@ -151,3 +158,58 @@ def test_load_rejects_invalid(tmp_path):
         load_cgs(path)
     loaded = load_cgs(path, allow_invalid=True)
     assert validate_cgs(loaded) != []
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_MACHINES) + ["halting"])
+def test_compiled_game_round_trip(tmp_path, name):
+    g = build_cgs(dict(FIVE_MACHINES, halting=M_HALT)[name]).cgs
+    assert cgs_from_json(cgs_to_json(g)) == g
+    path = tmp_path / "game.json"
+    save_cgs(g, path)
+    assert load_cgs(path) == g
+
+
+def _edit(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *keys, last = path
+    node = doc
+    for k in keys:
+        node = node[k]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("states",), ["s", 3], "states holds 3, which is not a string"),
+        (("states",), "st", "states must be a list, not str"),
+        (("label", "s"), "p", "label of 's' must be a list, not str"),
+        (("obs", "1"), [["s", "t"], "u"], "obs block of agent 1 must be a list, not str"),
+        (("obs", "one"), [["s", "t"]], "obs key 'one' is not an agent number"),
+        (("avail", "1", "t"), "a", "avail of agent 1 at 't' must be a list, not str"),
+        (("delta", 1), ["t", "a", "t"], "delta row ['t', 'a', 't'] must be [state, [actions], state]"),
+        (("delta", 1), ["t", ["a"], 3], "delta row ['t', ['a'], 3] must be [state, [actions], state]"),
+        (
+            ("delta", 1),
+            ["t", [["a"]], "t"],
+            "delta row ['t', [['a']], 't'] names an action that is not a string",
+        ),
+        (("delta", 1), ["t", ["a"]], "delta row ['t', ['a']] must be [state, [actions], state]"),
+        (("delta", 1), ["s", ["a"], "s"], "delta has two rows for ('s', ['a'])"),
+        (("agents",), "1", "agents must be an integer, not str"),
+        (("props",), None, "props must be a list, not NoneType"),
+    ],
+)
+def test_load_rejects_mistyped_fields(path, value, message):
+    doc = _edit(cgs_to_json(tiny()), path, value)
+    with pytest.raises(CgsError) as exc:
+        cgs_from_json(doc)
+    assert str(exc.value) == f"malformed game structure document: {message}"
+
+
+def test_load_rejects_missing_field():
+    doc = cgs_to_json(tiny())
+    del doc["delta"]
+    with pytest.raises(CgsError, match="missing field 'delta'"):
+        cgs_from_json(doc)

@@ -245,3 +245,45 @@ def test_check_stdout_is_deterministic(tmp_path, halt_file, capsys):
     assert first.out == second.out
     # timing varies but stays off the payload stream
     assert "elapsed" in first.err and "elapsed" not in first.out
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["!" * 2000 + "ok", "<<1>> X " * 400 + "ok", " & ".join(["ok"] * 3000)],
+    ids=["2000 negations", "400 nested next", "3000-term conjunction"],
+)
+def test_check_too_deep_formula_is_parse_error(tmp_path, halt_file, capsys, formula):
+    cgs = tmp_path / "halt.cgs.json"
+    main(["reduce", str(halt_file), "-o", str(cgs)])
+    capsys.readouterr()
+    code = main(["check", str(cgs), "--state", "s_init", "--formula", formula, "-b", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: formula nests deeper than")
+    assert "position" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("states", ["s", 3]), ("label", {"s": "ok"}), ("delta", [["s", ["a"], "s"]] * 2)],
+)
+def test_check_mistyped_structure_is_parse_error(tmp_path, capsys, field, value):
+    doc = {
+        "agents": 1,
+        "states": ["s"],
+        "props": ["ok"],
+        "label": {"s": ["ok"]},
+        "obs": {"1": [["s"]]},
+        "actions": ["a"],
+        "avail": {"1": {"s": ["a"]}},
+        "delta": [["s", ["a"], "s"]],
+    }
+    doc[field] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path), "--state", "s", "--formula", "ok", "-b", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed game structure document: {field}")

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from machines import FIVE_MACHINES
+from oracles import random_label_tree, reference_level
+
 from atlir.cgs import Cgs
 from atlir.comptree import (
     DuplicateAction,
@@ -23,6 +26,8 @@ from atlir.reduction import (
     RIGHTMOST_LABELS,
     S_GEN,
     S_INIT,
+    S_TR2,
+    build_cgs,
     simulating_strategy,
     simulation_tree,
 )
@@ -113,9 +118,22 @@ def test_level_ordering_not_total_without_rightmost_labels():
     from atlir.comptree import ComputationTree
 
     t = ComputationTree("r", {(("a",),): "x", (("b",),): "y"})
-    with pytest.raises(OrderingNotTotal):
+    with pytest.raises(
+        OrderingNotTotal, match=r"^level 1: nodes labeled 'x' and 'y' are incomparable$"
+    ):
         level(t, 1)
     assert [t.label(v) for v in level(t, 1, {"y"})] == ["x", "y"]
+
+
+def test_level_ordering_not_total_with_two_rightmost_siblings():
+    # both siblings carry a rightmost label: each must follow the other
+    from atlir.comptree import ComputationTree
+
+    t = ComputationTree("r", {(("a",),): "x", (("b",),): "y"})
+    with pytest.raises(
+        OrderingNotTotal, match=r"^level 1: nodes labeled 'x' and 'y' are ordered both ways$"
+    ):
+        level(t, 1, {"x", "y"})
 
 
 def test_is_complete_level(rc5):
@@ -186,3 +204,39 @@ def test_levels_json(rc5):
     doc = levels_to_json(t, RIGHTMOST_LABELS)
     assert doc["level_0"] == [S_INIT]
     assert doc["level_3"] == ["s_lb'", "s_q0,B", "s_tr'", "s_gen"]
+
+
+def _level_outcome(fn, t, n, last_labels):
+    try:
+        return "ok", fn(t, n, last_labels)
+    except OrderingNotTotal as exc:
+        return "raise", str(exc)
+
+
+def _assert_levels_match(t, last_labels, seen):
+    for n in range(t.max_depth + 2):
+        want = _level_outcome(reference_level, t, n, last_labels)
+        assert _level_outcome(level, t, n, last_labels) == want, (n, last_labels)
+        if want[0] == "raise":
+            seen.add(want[1].rsplit(" are ", 1)[1])
+        elif len(want[1]) >= 2:
+            seen.add("total")
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_MACHINES))
+def test_level_matches_reference_on_simulation_trees(name):
+    t = simulation_tree(build_cgs(FIVE_MACHINES[name]), 15)
+    seen = set()
+    for last_labels in (RIGHTMOST_LABELS, frozenset(), {S_GEN}, {S_TR2}):
+        _assert_levels_match(t, last_labels, seen)
+    assert "total" in seen and "incomparable" in seen
+
+
+def test_level_matches_reference_on_random_trees():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(2000):
+        t = random_label_tree(rng, "abcd", max_depth=4)
+        last_labels = frozenset(rng.sample("abcd", rng.randint(0, 2)))
+        _assert_levels_match(t, last_labels, seen)
+    assert seen == {"total", "incomparable", "ordered both ways"}

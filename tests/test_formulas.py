@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atlir.formulas import (
+    MAX_NESTING,
     And,
     Atom,
     EmptyCoalition,
@@ -98,6 +99,21 @@ def test_reserved_words_are_not_atoms():
 def test_until_requires_u():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("<<1>> p q")
+
+
+@pytest.mark.parametrize(
+    "opener, closer, at",
+    [("!", "", 0), ("ok & ", "", 3), ("(", ")", 0), ("<<1>> X ", "", 0), ("<<1>> ok U ", "", 0)],
+)
+def test_nesting_limit(opener, closer, at):
+    # ``at``: where the token that opens a level sits inside ``opener``
+    deepest = opener * MAX_NESTING + "ok" + closer * MAX_NESTING
+    f = parse_formula(deepest)
+    assert parse_formula(render_formula(f)) == f
+    too_deep = opener * (MAX_NESTING + 1) + "ok" + closer * (MAX_NESTING + 1)
+    with pytest.raises(FormulaSyntaxError, match="nests deeper than") as exc:
+        parse_formula(too_deep)
+    assert exc.value.position == len(opener) * MAX_NESTING + at
 
 
 def test_atoms():

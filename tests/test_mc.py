@@ -12,7 +12,7 @@ from oracles import (
 from machines import FIVE_MACHINES, M5_EXT, M_HALT
 
 from atlir.cgs import Cgs
-from atlir.formulas import parse_formula
+from atlir.formulas import MAX_NESTING, parse_formula
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, check
 from atlir.reduction import S_INIT, build_cgs
 
@@ -349,3 +349,32 @@ def test_search_matches_reference_on_compiled_games(name):
 def test_nonhalting_unknown_at_bound_12():
     f = parse_formula("<<1,2>> G ok")
     assert check(build_cgs(M5_EXT).cgs, S_INIT, f, 12).value is Truth.UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "opener, levels",
+    [("<<1>> G ", 1), ("<<1>> ok U ", 1), ("!<<1>> X ", 2), ("ok & <<1>> G ", 2)],
+)
+def test_deepest_formula_evaluates(opener, levels):
+    # The checker's recursion is bounded by the parser's nesting limit.
+    # On a line of states each nested modality first meets a fresh state
+    # inside the search of the one above it, which recurses the deepest.
+    n = MAX_NESTING + 5
+    states = [f"c{i}" for i in range(n)]
+    line = Cgs(
+        agents=1,
+        states=states,
+        props=["ok"],
+        label={s: ["ok"] for s in states},
+        obs={1: [[s] for s in states]},
+        actions=["a"],
+        avail={1: {s: ["a"] for s in states}},
+        delta={(s, ("a",)): states[min(i + 1, n - 1)] for i, s in enumerate(states)},
+    )
+    f = parse_formula(opener * (MAX_NESTING // levels) + "ok")
+    assert check(line, "c0", f, 2).value in set(Truth)
+
+
+def test_bound_does_not_deepen_recursion():
+    f = parse_formula("<<1>> G ok")
+    assert check(singleton(), "s", f, 1500).value is Truth.UNKNOWN

@@ -255,6 +255,15 @@ def test_loop3_claims_hold_deeper():
     assert report.all_pass, report.failures()[:5]
 
 
+def test_loop3_claims_hold_at_depth_61():
+    report = verify_construction(build_cgs(LOOP3), 61)
+    assert report.all_pass, report.failures()[:5]
+    assert report.checked_levels == 61
+    # ok-states, 13 rows on each of levels 1..61, form succession on
+    # 1..60, decoding on the odd levels 3..61 and stepping on 3..59
+    assert len(report.entries) == 1 + 13 * 61 + 60 + 30 + 29
+
+
 def test_blank_writing_zigzag_decodes_correctly():
     # writes blanks in both directions and then rides right over them,
     # exercising the padding-stripping on every kind of level
