@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 JointAction = tuple[str, ...]
@@ -146,19 +147,22 @@ class Cgs:
                         raise UnknownAction(f"availability of agent {i} at {s!r} uses {a!r}")
                 self.avail[(i, s)] = frozenset(acts)
 
-        self.delta: dict[tuple[str, JointAction], str] = {}
-        for (s, a), t in dict(delta).items():
-            a = tuple(a)
-            if s not in self.states:
-                raise UnknownState(f"transition from undeclared state {s!r}")
-            if t not in self.states:
-                raise UnknownState(f"transition into undeclared state {t!r}")
-            if len(a) != self.agents:
-                raise CgsError(f"joint action {a!r} has length {len(a)}, expected {self.agents}")
-            for x in a:
-                if x not in self.actions:
-                    raise UnknownAction(f"transition at {s!r} uses undeclared action {x!r}")
-            self.delta[(s, a)] = t
+        self.delta: dict[tuple[str, JointAction], str] = dict(delta)
+        if not _rows_declared(self.delta, self.states, self.actions, self.agents):
+            # walk the rows one by one to report the first bad one
+            rows, self.delta = self.delta, {}
+            for (s, a), t in rows.items():
+                a = tuple(a)
+                if s not in self.states:
+                    raise UnknownState(f"transition from undeclared state {s!r}")
+                if t not in self.states:
+                    raise UnknownState(f"transition into undeclared state {t!r}")
+                if len(a) != self.agents:
+                    raise CgsError(f"joint action {a!r} has length {len(a)}, expected {self.agents}")
+                for x in a:
+                    if x not in self.actions:
+                        raise UnknownAction(f"transition at {s!r} uses undeclared action {x!r}")
+                self.delta[(s, a)] = t
 
         self._avail_sorted = {k: tuple(sorted(v)) for k, v in self.avail.items()}
         self._succ: dict[str, tuple[str, ...]] = {}
@@ -244,6 +248,24 @@ class Cgs:
         )
 
 
+def _rows_declared(rows: dict, states, actions, agents: int) -> bool:
+    """Whether every row of ``rows`` passes the constructor's per-row
+    tests with its joint action already a tuple, tested in bulk."""
+    try:
+        if not set(map(len, rows)) <= {2}:
+            return False
+        joints = list(map(itemgetter(1), rows))
+        return (
+            states.issuperset(map(itemgetter(0), rows))
+            and states.issuperset(rows.values())
+            and set(map(type, joints)) <= {tuple}
+            and set(map(len, joints)) <= {agents}
+            and actions.issuperset(itertools.chain.from_iterable(joints))
+        )
+    except (TypeError, LookupError):
+        return False
+
+
 # -- operations ------------------------------------------------------------
 
 
@@ -290,8 +312,10 @@ def validate_cgs(g: Cgs) -> list[Violation]:
     well-formed.
     """
     out: list[Violation] = []
+    agents = range(1, g.agents + 1)
+    states = sorted(g.states)
 
-    for i in range(1, g.agents + 1):
+    for i in agents:
         blocks = g.obs.get(i, ())
         covered: dict[str, int] = {}
         dup = False
@@ -333,8 +357,8 @@ def validate_cgs(g: Cgs) -> list[Violation]:
                         )
                     )
 
-    for i in range(1, g.agents + 1):
-        for s in sorted(g.states):
+    for i in agents:
+        for s in states:
             if not g.avail.get((i, s)):
                 out.append(
                     Violation(
@@ -344,9 +368,14 @@ def validate_cgs(g: Cgs) -> list[Violation]:
                     )
                 )
 
-    for s in sorted(g.states):
-        for a in g.joint_choices(s):
-            if (s, a) not in g.delta:
+    # Every available tuple is distinct, so when as many of them are
+    # defined as delta has rows, no row sits on an unavailable tuple.
+    defined = 0
+    for s in states:
+        for a in itertools.product(*[g._avail_sorted.get((i, s), ()) for i in agents]):
+            if (s, a) in g.delta:
+                defined += 1
+            else:
                 out.append(
                     Violation(
                         "PartialOnAvailableTuple",
@@ -354,6 +383,8 @@ def validate_cgs(g: Cgs) -> list[Violation]:
                         f"transition undefined at {s!r} for available joint action {a!r}",
                     )
                 )
+    if defined == len(g.delta):
+        return out
     for (s, a) in sorted(g.delta):
         if any(x not in g.avail.get((i, s), frozenset()) for i, x in enumerate(a, start=1)):
             out.append(
@@ -526,7 +557,8 @@ def load_cgs(path, allow_invalid: bool = False) -> Cgs:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes and over-deep nesting are not valid JSON either
             raise CgsError(f"not valid JSON: {exc}") from exc
     g = cgs_from_json(doc)
     if not allow_invalid:

@@ -52,6 +52,8 @@ def _load_machine(path):
         return load_tm(path)
     except FileNotFoundError:
         raise _Failure(EXIT_PARSE, f"no such file: {path}") from None
+    except OSError as exc:
+        raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc.strerror or exc}") from None
     except MalformedMachine as exc:
         # unreadable documents are parse errors; machines that parse but
         # fail validation are rejected with their own code
@@ -118,18 +120,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_JOB_FIELDS = (("cgs", str), ("state", str), ("formula", str), ("bound", int))
+
+
+def _read_job(path) -> tuple:
+    """The structure path, state, formula text and bound of a job file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            job = json.load(fh)
+        fields = tuple(job[name] for name, _ in _JOB_FIELDS)
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise _Failure(EXIT_PARSE, f"bad job file: {exc}") from None
+    for (name, kind), value in zip(_JOB_FIELDS, fields):
+        # exact types: a bool is not a bound, and a number is not a path
+        if type(value) is not kind:
+            wanted = "a string" if kind is str else "an integer"
+            raise _Failure(
+                EXIT_PARSE,
+                f"bad job file: {name} must be {wanted}, not {type(value).__name__}",
+            )
+    return fields
+
+
 def cmd_check(args) -> int:
     if args.job:
-        try:
-            with open(args.job, "r", encoding="utf-8") as fh:
-                job = json.load(fh)
-            cgs_path = job["cgs"]
-            state = job["state"]
-            formula_text = job["formula"]
-            bound = int(job["bound"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            print(f"error: bad job file: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        cgs_path, state, formula_text, bound = _read_job(args.job)
     else:
         if not (args.cgs and args.state and args.formula and args.bound is not None):
             print(
@@ -146,6 +161,12 @@ def cmd_check(args) -> int:
         return EXIT_PARSE
     except CgsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (OSError, ValueError) as exc:
+        # a directory, an unreadable file, or a name no file can have (a
+        # job file's path may hold a NUL character)
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {cgs_path}: {reason}", file=sys.stderr)
         return EXIT_PARSE
     try:
         f = parse_formula(formula_text)

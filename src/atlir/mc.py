@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
-from .cgs import Cgs, CgsError, History, UnknownAgent
+from .cgs import Cgs, CgsError, UnknownAgent
 from .formulas import And, Atom, Formula, Globally, Next, Not, Until, atoms, coalitions
 
 
@@ -78,9 +79,14 @@ class _Search:
     order.  Each frontier history is classified as soon as the last of
     its member slots is fixed, and a partial assignment is cut, with
     every table extending it, at its first failing history (forward
-    checking).  Successor sets and classifications per (state, member
-    actions) are cached for the whole search; subformula verdicts per
-    state are memoised by the caller.
+    checking).  When a slot has no action left, the search backs up to
+    the latest slot that its failing histories read, since no change to
+    a later slot could save them (conflict-directed backjumping); only
+    assignments that extend to no table at this depth are skipped, so
+    the tables, their order and the first cut stay those of plain
+    backtracking.  Successor sets and classifications per (state,
+    member actions) are cached for the whole search; subformula
+    verdicts per state are memoised by the caller.
 
     ``classify`` maps a successor set to ``(bad, cont)``: a successor
     that fails the objective (or None), and the successors whose
@@ -91,9 +97,13 @@ class _Search:
         self.g = g
         self.members = members
         self.free = [i for i in range(1, g.agents + 1) if i not in members]
+        # member actions then free actions, put back in agent order
+        order = members + self.free
+        self._joint = _picker(tuple(order.index(i) for i in range(1, g.agents + 1)))
         self._succ: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
         self._classify = classify
-        self._classified: dict[tuple[str, tuple[str, ...]], tuple] = {}
+        # per state, per member actions
+        self._classified: dict[str, dict[tuple[str, ...], tuple]] = {}
         # the failing path of the lexicographically first refuted table
         self.first_failure: list[str] | None = None
 
@@ -102,12 +112,10 @@ class _Search:
         got = self._succ.get(key)
         if got is None:
             free_opts = [self.g.available_sorted(i, state) for i in self.free]
-            by_agent = {m: a for m, a in zip(self.members, member_acts)}
+            delta, joint = self.g.delta, self._joint
             seen: list[str] = []
             for free_acts in itertools.product(*free_opts):
-                by_agent.update(zip(self.free, free_acts))
-                joint = tuple(by_agent[i] for i in range(1, self.g.agents + 1))
-                t = self.g.delta.get((state, joint))
+                t = delta.get((state, joint(member_acts + free_acts)))
                 if t is not None and t not in seen:
                     seen.append(t)
             got = tuple(seen)
@@ -115,11 +123,10 @@ class _Search:
         return got
 
     def classified(self, state: str, member_acts: tuple[str, ...]) -> tuple:
-        key = (state, member_acts)
-        got = self._classified.get(key)
+        per_state = self._classified.setdefault(state, {})
+        got = per_state.get(member_acts)
         if got is None:
-            got = self._classify(self.successors(state, member_acts))
-            self._classified[key] = got
+            got = per_state[member_acts] = self._classify(self.successors(state, member_acts))
         return got
 
     def run(self, root: str, depth: int, horizon_ok: bool) -> dict | None:
@@ -135,7 +142,7 @@ class _Search:
         """
         levels = []
         parts: list[tuple[list, tuple[str, ...]]] = []
-        frontier: tuple[History, ...] = ((root,),)
+        frontier = (((root,), ((),) * len(self.members)),)
         while True:
             if not frontier or len(levels) == depth:
                 if not frontier or horizon_ok:
@@ -157,62 +164,88 @@ class _Search:
             del parts[len(levels) - 1 :]
             parts.append(part)
 
-    def _assignments(self, frontier: tuple[History, ...]):
+    def _assignments(self, frontier):
         """Yield ``(next frontier, (slots, actions))`` for each assignment of
-        this depth's slots under which no frontier history fails, in order."""
-        obs_key = self.g.obs_key
+        this depth's slots under which no frontier history fails, in order.
+
+        A frontier entry is a history and the members' observation keys of
+        the history without its last state, so each key grows by one block
+        per depth instead of being rebuilt from the whole history.
+        """
+        block_of = self.g.block_of
         rep: dict[tuple[int, tuple[int, ...]], str] = {}
-        hist_slots = []
-        for h in frontier:
-            row = []
-            for m in self.members:
-                key = (m, obs_key(m, h))
-                rep.setdefault(key, h[-1])
-                row.append(key)
-            hist_slots.append(row)
+        lasts = []
+        hist_keys = []
+        for h, prefix in frontier:
+            last = h[-1]
+            keys = tuple(k + (block_of(m, last),) for m, k in zip(self.members, prefix))
+            for m, k in zip(self.members, keys):
+                rep.setdefault((m, k), last)
+            lasts.append(last)
+            hist_keys.append(keys)
         slots = sorted(rep, key=lambda mk: (mk[0], len(mk[1]), mk[1]))
         options = [self.g.available_sorted(m, rep[(m, k)]) for m, k in slots]
         if not all(options):
             # a class with no available action admits no table at all
             return
         pos = {slot: i for i, slot in enumerate(slots)}
-        rows = [tuple(pos[key] for key in row) for row in hist_slots]
-        # the histories that become checkable when slot i is fixed
+        rows = [tuple(pos[mk] for mk in zip(self.members, keys)) for keys in hist_keys]
+        picks = [_picker(ix) for ix in rows]
+        cached = [self._classified.setdefault(last, {}) for last in lasts]
+        # the histories that become checkable when slot i is fixed, and
+        # the earlier slots each of them reads, as a bit set
         due: list[list[int]] = [[] for _ in slots]
+        reads = []
         for j, ix in enumerate(rows):
             due[max(ix)].append(j)
+            reads.append(sum(1 << k for k in ix) & ~(1 << max(ix)))
         n = len(slots)
         choice = [0] * n
+        # per slot, the earlier slots its failed options read
+        conflict = [0] * n
         acts: list[str] = [""] * n
         conts: list[tuple[str, ...]] = [()] * len(frontier)
         i = 0
         while i >= 0:
             if i == n:
                 nxt = tuple(
-                    h + (t,) for h, cont in zip(frontier, conts) for t in cont
+                    (h + (t,), keys)
+                    for (h, _), keys, cont in zip(frontier, hist_keys, conts)
+                    for t in cont
                 )
                 yield nxt, (slots, tuple(acts))
+                # every slot's action led to a table: back up one at a time
+                conflict = [(1 << k) - 1 for k in range(n)]
                 i -= 1
             else:
                 acts[i] = options[i][choice[i]]
                 for j in due[i]:
-                    member_acts = tuple(acts[k] for k in rows[j])
-                    bad, conts[j] = self.classified(frontier[j][-1], member_acts)
+                    member_acts = picks[j](acts)
+                    got = cached[j].get(member_acts)
+                    if got is None:
+                        got = self.classified(lasts[j], member_acts)
+                    bad, conts[j] = got
                     if bad is not None:
                         if self.first_failure is None:
                             self._record_failure(frontier, rows, options, acts[: i + 1])
+                        conflict[i] |= reads[j]
                         break
                 else:
                     i += 1
                     if i < n:
                         choice[i] = 0
+                        conflict[i] = 0
                     continue
-            # next option, backtracking over exhausted slots
+            # next option; a slot with none left backs up to the latest
+            # slot in its conflict set, or ends the depth if that is empty
             while i >= 0:
                 choice[i] += 1
                 if choice[i] < len(options[i]):
                     break
-                i -= 1
+                back = conflict[i].bit_length() - 1
+                if back >= 0:
+                    conflict[back] |= conflict[i] & ~(1 << back)
+                i = back
 
     def _record_failure(self, frontier, rows, options, prefix) -> None:
         # The first cut refutes the table that completes its prefix with
@@ -220,11 +253,19 @@ class _Search:
         # failure as a full scan would: first failing history in
         # frontier order, first failing successor.
         acts = prefix + [opts[0] for opts in options[len(prefix) :]]
-        for h, ix in zip(frontier, rows):
+        for (h, _), ix in zip(frontier, rows):
             bad = self.classified(h[-1], tuple(acts[k] for k in ix))[0]
             if bad is not None:
                 self.first_failure = list(h) + [bad]
                 return
+
+
+def _picker(ix: tuple[int, ...]):
+    """A function from a sequence to the tuple of its items at ``ix``."""
+    if len(ix) == 1:
+        k = ix[0]
+        return lambda acts: (acts[k],)
+    return itemgetter(*ix)
 
 
 def check(g: Cgs, s: str, f: Formula, bound: int) -> Verdict:

@@ -259,6 +259,7 @@ def load_tm(path) -> TuringMachine:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes and over-deep nesting are not valid JSON either
             raise MalformedMachine(f"not valid JSON: {exc}") from exc
     return tm_from_json(doc)

@@ -5,13 +5,14 @@ safety oracle is a plain set fixpoint on the state graph, the reference
 checker enumerates whole strategy tables per depth, the tree twin grows
 explicit computation trees, and the generator builds structures
 directly.  The reference level ordering closes explicit pair sets, level
-by level from the root, on every call.
+by level from the root, on every call, and the reference validator tests
+every transition row against the availability sets.
 """
 
 import itertools
 import random
 
-from atlir.cgs import Cgs
+from atlir.cgs import Cgs, Violation
 from atlir.comptree import ComputationTree, OrderingNotTotal, extend, single_node
 from atlir.formulas import And, Atom, Globally, Next, Not, Until
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, Verdict
@@ -509,3 +510,95 @@ def random_label_tree(rng: random.Random, alphabet: str, max_depth: int):
                 nxt.append(child)
         frontier = nxt
     return ComputationTree(rng.choice(alphabet), labels)
+
+
+# -- reference validation -----------------------------------------------------
+#
+# atlir.cgs.validate_cgs as first written: every delta row is tested
+# against the availability sets, in sorted order, on every call.  The
+# current validator must return the very same violations in the same
+# order.
+
+
+def reference_validate(g: Cgs) -> list[Violation]:
+    """Check the semantic well-formedness conditions of a structure.
+
+    Returns one :class:`Violation` per broken condition, each naming the
+    state/agent/tuple involved.  An empty list means the structure is
+    well-formed.
+    """
+    out: list[Violation] = []
+
+    for i in range(1, g.agents + 1):
+        blocks = g.obs.get(i, ())
+        covered: dict[str, int] = {}
+        dup = False
+        for bi, b in enumerate(blocks):
+            for s in b:
+                if s in covered:
+                    dup = True
+                    out.append(
+                        Violation(
+                            "BadPartition",
+                            (i, s),
+                            f"agent {i}: state {s!r} appears in more than one observation block",
+                        )
+                    )
+                covered[s] = bi
+        missing = sorted(g.states - covered.keys())
+        for s in missing:
+            out.append(
+                Violation(
+                    "BadPartition",
+                    (i, s),
+                    f"agent {i}: state {s!r} missing from the observation partition",
+                )
+            )
+        if dup or missing:
+            continue
+        # availability must be uniform on each block
+        for bi, b in enumerate(blocks):
+            first = b[0]
+            base = g.avail.get((i, first), frozenset())
+            for s in b[1:]:
+                if g.avail.get((i, s), frozenset()) != base:
+                    out.append(
+                        Violation(
+                            "AvailNotUniform",
+                            (i, first, s),
+                            f"agent {i}: availability differs between "
+                            f"indistinguishable states {first!r} and {s!r}",
+                        )
+                    )
+
+    for i in range(1, g.agents + 1):
+        for s in sorted(g.states):
+            if not g.avail.get((i, s)):
+                out.append(
+                    Violation(
+                        "EmptyAvail",
+                        (i, s),
+                        f"agent {i} has no available action at state {s!r}",
+                    )
+                )
+
+    for s in sorted(g.states):
+        for a in g.joint_choices(s):
+            if (s, a) not in g.delta:
+                out.append(
+                    Violation(
+                        "PartialOnAvailableTuple",
+                        (s, a),
+                        f"transition undefined at {s!r} for available joint action {a!r}",
+                    )
+                )
+    for (s, a) in sorted(g.delta):
+        if any(x not in g.avail.get((i, s), frozenset()) for i, x in enumerate(a, start=1)):
+            out.append(
+                Violation(
+                    "DeltaOnUnavailableTuple",
+                    (s, a),
+                    f"transition defined at {s!r} for unavailable joint action {a!r}",
+                )
+            )
+    return out

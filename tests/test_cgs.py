@@ -1,10 +1,13 @@
 import copy
 import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from machines import FIVE_MACHINES, M_HALT
+from oracles import random_cgs, reference_validate
 
 from atlir.cgs import (
     Cgs,
@@ -213,3 +216,120 @@ def test_load_rejects_missing_field():
     del doc["delta"]
     with pytest.raises(CgsError, match="missing field 'delta'"):
         cgs_from_json(doc)
+
+
+# -- differential tests of the load path ---------------------------------------
+
+
+def _drop_rows(doc, rng):
+    for _ in range(rng.randint(1, 3)):
+        if doc["delta"]:
+            doc["delta"].pop(rng.randrange(len(doc["delta"])))
+
+
+def _unavailable_row(doc, rng):
+    s = rng.choice(doc["states"])
+    i = rng.randint(1, doc["agents"])
+    spare = sorted(set(doc["actions"]) - set(doc["avail"][str(i)].get(s, [])))
+    if not spare:
+        spare = [f"z{len(doc['actions'])}"]
+        doc["actions"].append(spare[0])
+    joint = [rng.choice(doc["actions"]) for _ in range(doc["agents"])]
+    joint[i - 1] = rng.choice(spare)
+    if all((row[0], row[1]) != (s, joint) for row in doc["delta"]):
+        doc["delta"].insert(rng.randint(0, len(doc["delta"])), [s, joint, rng.choice(doc["states"])])
+
+
+def _nonuniform(doc, rng):
+    i = str(rng.randint(1, doc["agents"]))
+    big = [b for b in doc["obs"][i] if len(b) > 1]
+    if big:
+        s = rng.choice(rng.choice(big)[1:])
+        doc["avail"][i][s] = sorted(rng.sample(doc["actions"], rng.randint(1, len(doc["actions"]))))
+
+
+def _overlap(doc, rng):
+    blocks = doc["obs"][str(rng.randint(1, doc["agents"]))]
+    if len(blocks) > 1:
+        src, dst = rng.sample(range(len(blocks)), 2)
+        blocks[dst].append(rng.choice(blocks[src]))
+
+
+def _missing(doc, rng):
+    blocks = doc["obs"][str(rng.randint(1, doc["agents"]))]
+    b = rng.choice(blocks)
+    b.remove(rng.choice(b))
+    if not b:
+        blocks.remove(b)
+
+
+def _empty_avail(doc, rng):
+    per = doc["avail"][str(rng.randint(1, doc["agents"]))]
+    s = rng.choice(doc["states"])
+    if rng.random() < 0.5:
+        per[s] = []
+    else:
+        per.pop(s, None)
+
+
+FAULTS = (_drop_rows, _unavailable_row, _nonuniform, _overlap, _missing, _empty_avail)
+
+
+def test_validate_matches_reference_on_faulty_structures():
+    rng = random.Random(4242)
+    kinds = Counter()
+    for _ in range(600):
+        doc = cgs_to_json(random_cgs(rng, max_states=5, max_actions=3))
+        for fault in rng.sample(FAULTS, rng.randint(1, 3)):
+            fault(doc, rng)
+        g = cgs_from_json(doc)
+        got = validate_cgs(g)
+        assert got == reference_validate(g)
+        kinds.update({v.kind for v in got})
+        kinds["clean"] += not got
+    assert set(kinds) == {
+        "clean",
+        "BadPartition",
+        "AvailNotUniform",
+        "EmptyAvail",
+        "PartialOnAvailableTuple",
+        "DeltaOnUnavailableTuple",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_MACHINES) + ["halting"])
+def test_compiled_games_validate_clean(name):
+    g = build_cgs(dict(FIVE_MACHINES, halting=M_HALT)[name]).cgs
+    assert validate_cgs(g) == reference_validate(g) == []
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        (["s", ["a", "a"], "t"], CgsError, "joint action ('a', 'a') has length 2, expected 1"),
+        (["s", [], "t"], CgsError, "joint action () has length 0, expected 1"),
+        (["s", ["zzz"], "t"], UnknownAction, "transition at 's' uses undeclared action 'zzz'"),
+        (["nope", ["a"], "t"], UnknownState, "transition from undeclared state 'nope'"),
+        (["s", ["b"], "nowhere"], UnknownState, "transition into undeclared state 'nowhere'"),
+    ],
+)
+def test_bad_delta_row_after_good_ones(row, error, message):
+    # the first bad row is reported, whatever follows it
+    doc = cgs_to_json(tiny())
+    doc["delta"] += [row, ["nope2", ["a"], "t"]]
+    with pytest.raises(error) as exc:
+        cgs_from_json(doc)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    # the constructor reports the same row when given the mapping directly
+    delta = {(s, tuple(a)): t for s, a, t in doc["delta"]}
+    with pytest.raises(error) as exc:
+        tiny(delta=delta)
+    assert str(exc.value) == message
+
+
+def test_constructor_normalises_joint_actions():
+    # a joint action given as any iterable of actions is stored as a tuple
+    g = tiny(delta={("s", "a"): "t", ("t", ("a",)): "t"})
+    assert g.delta == {("s", ("a",)): "t", ("t", ("a",)): "t"}
+

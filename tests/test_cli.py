@@ -177,6 +177,83 @@ def test_check_job_file(tmp_path, m5_file, capsys):
     assert main(["check", "--job", str(job)]) == 0
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cgs", None, "cgs must be a string, not NoneType"),
+        # a number would open a file descriptor: 0 is standard input
+        ("cgs", 0, "cgs must be a string, not int"),
+        ("state", ["s_init"], "state must be a string, not list"),
+        ("formula", 5, "formula must be a string, not int"),
+        ("bound", 2.9, "bound must be an integer, not float"),
+        ("bound", True, "bound must be an integer, not bool"),
+        ("bound", "3", "bound must be an integer, not str"),
+    ],
+)
+def test_check_job_file_mistyped_field(tmp_path, m5_file, capsys, field, value, message):
+    cgs = tmp_path / "g.json"
+    main(["reduce", str(m5_file), "-o", str(cgs)])
+    job = {"cgs": str(cgs), "state": "s_init", "formula": "ok", "bound": 1}
+    job[field] = value
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    capsys.readouterr()
+    assert main(["check", "--job", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad job file: {message}\n"
+
+
+def test_check_job_file_missing_field(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"cgs": "g.json", "state": "s", "formula": "ok"}))
+    assert main(["check", "--job", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad job file: 'bound'\n"
+
+
+def test_check_unreadable_structure_is_parse_error(tmp_path, capsys):
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"agents": ' + "9" * 5000 + "}")
+    for path, message in (
+        (tmp_path, "cannot read"),
+        (undecodable, "not valid JSON"),
+        (deep, "not valid JSON"),
+        (huge, "not valid JSON"),
+    ):
+        argv = ["check", str(path), "--state", "s", "--formula", "ok", "-b", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+    # only a job file can name a path that no file can have
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"cgs": "g\u0000.json", "state": "s", "formula": "ok", "bound": 1}))
+    assert main(["check", "--job", str(job)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read g")
+
+
+@pytest.mark.parametrize("command", ["reduce", "simulate", "verify-claims"])
+def test_unreadable_machine_is_parse_error(tmp_path, capsys, command):
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    depth = [] if command == "reduce" else ["-d", "3"]
+    for path, message in (
+        (tmp_path, "cannot read"),
+        (undecodable, "not valid JSON"),
+        (deep, "not valid JSON"),
+    ):
+        assert main([command, str(path)] + depth) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_check_allow_invalid(tmp_path, capsys):
     doc = {
         "agents": 1,

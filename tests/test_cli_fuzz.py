@@ -1,0 +1,119 @@
+"""Fuzz the exit-code contract of ``atlir check``.
+
+Whatever the structure document, the formula text or the job file, a
+call returns an exit code in 0..5 without an uncaught exception, and it
+returns 1 exactly when it prints a ``False`` verdict.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from oracles import random_cgs
+
+from atlir.cgs import cgs_to_json
+from atlir.cli import main
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+formula_texts = st.text(alphabet="<>,!&()XGU pq012", max_size=16) | st.text(max_size=6)
+
+WELL_FORMED = (
+    "p",
+    "!p",
+    "p & !p",
+    "<<1>> X p",
+    "<<1,2>> G p",
+    "<<2>> p U !p",
+    "<<1>> G <<2>> X p",
+    "!<<1,2>> X (p & <<1>> G p)",
+    "<<3>> G p",
+    "<<0>> X p",
+    "q",
+)
+
+# stands for the structure file's path in a generated job document
+GAME = "<game>"
+
+
+@st.composite
+def calls(draw):
+    """A structure document, a job document or None, and the state,
+    formula, bound and ``--allow-invalid`` of one call.
+
+    A seeded generator makes the choices, so most calls get as far as a
+    verdict; Hypothesis supplies the arbitrary values and texts.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if rng.random() < 0.1:
+        doc = draw(json_values)
+    else:
+        doc = cgs_to_json(random_cgs(rng, max_states=3, max_actions=2))
+        # replace or delete a value anywhere inside the document
+        while doc and rng.random() < 0.2:
+            parent, key = doc, rng.choice(sorted(doc))
+            while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.6:
+                parent = parent[key]
+                key = rng.choice(sorted(parent) if isinstance(parent, dict) else range(len(parent)))
+            if rng.random() < 0.5:
+                parent[key] = draw(json_values)
+            else:
+                del parent[key]
+    state = rng.choice(["s0", "s1"]) if rng.random() < 0.92 else draw(st.text(max_size=3))
+    formula = rng.choice(WELL_FORMED) if rng.random() < 0.85 else draw(formula_texts)
+    bound = rng.randint(1, 3) if rng.random() < 0.9 else draw(st.integers(-2, 0))
+    job = None
+    if rng.random() < 0.5:
+        job = {"cgs": GAME, "state": state, "formula": formula, "bound": bound}
+        for name in sorted(job):
+            roll = rng.random()
+            if roll < 0.05:
+                job[name] = draw(json_values)
+            elif roll < 0.08:
+                del job[name]
+        if rng.random() < 0.05:
+            job = draw(json_values)
+    return doc, job, state, formula, bound, rng.random() < 0.3
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls())
+def test_check_keeps_the_exit_code_contract(call):
+    doc, job, state, formula, bound, allow_invalid = call
+    with tempfile.TemporaryDirectory() as tmp:
+        game = Path(tmp, "game.json")
+        game.write_text(json.dumps(doc))
+        if job is None:
+            argv = ["check", str(game), f"--state={state}", f"--formula={formula}",
+                    f"--bound={bound}"]
+        else:
+            if isinstance(job, dict) and job.get("cgs") == GAME:
+                job["cgs"] = str(game)
+            path = Path(tmp, "job.json")
+            path.write_text(json.dumps(job))
+            argv = ["check", "--job", str(path)]
+        if allow_invalid:
+            argv.append("--allow-invalid")
+        code, out, err = run(argv)
+    assert code in range(6)
+    payload = json.loads(out) if out else None
+    assert (code == 1) == (payload is not None and payload["verdict"] == "False")
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ")

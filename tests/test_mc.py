@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from machines import FIVE_MACHINES, M5_EXT, M_HALT
 
 from atlir.cgs import Cgs
 from atlir.formulas import MAX_NESTING, parse_formula
-from atlir.mc import BoundTooSmall, Truth, UnknownProposition, check
+from atlir.mc import BoundTooSmall, Truth, UnknownProposition, _Search, check
 from atlir.reduction import S_INIT, build_cgs
 
 
@@ -378,3 +379,68 @@ def test_deepest_formula_evaluates(opener, levels):
 def test_bound_does_not_deepen_recursion():
     f = parse_formula("<<1>> G ok")
     assert check(singleton(), "s", f, 1500).value is Truth.UNKNOWN
+
+
+def _plain_assignments(g, members, classify, frontier):
+    """One depth of the slot search by plain enumeration: every action
+    assignment of the slots, in order, that no frontier history fails."""
+    keys = [tuple(g.obs_key(m, h) for m in members) for h in frontier]
+    rep = {}
+    for h, ks in zip(frontier, keys):
+        for m, k in zip(members, ks):
+            rep.setdefault((m, k), h[-1])
+    slots = sorted(rep, key=lambda mk: (mk[0], len(mk[1]), mk[1]))
+    options = [g.available_sorted(m, rep[(m, k)]) for m, k in slots]
+    search = _Search(g, members, classify)
+    out = []
+    for acts in itertools.product(*options):
+        table = dict(zip(slots, acts))
+        nxt = []
+        for h, ks in zip(frontier, keys):
+            bad, cont = search.classified(h[-1], tuple(table[mk] for mk in zip(members, ks)))
+            if bad is not None:
+                break
+            nxt += [(h + (t,), ks) for t in cont]
+        else:
+            out.append((tuple(nxt), (slots, acts)))
+    return out
+
+
+def _slot_case(seed):
+    """A random structure, team, classifier and frontier for one depth."""
+    rng = random.Random(f"slots/{seed}")
+    g = random_cgs(rng, max_states=8, max_actions=3)
+    members = rng.choice([[1], [2], [1, 2], [1, 2]])
+    p = rng.uniform(0.1, 0.6)
+
+    def classify(succs):
+        # a fixed verdict per successor set, whatever the order of calls
+        if random.Random(f"slots/{seed}/{succs}").random() < p:
+            return succs[0], ()
+        return None, succs
+
+    states = sorted(g.states)
+    depth = rng.randint(1, 3)
+    frontier = sorted(
+        {
+            tuple([states[0]] + [rng.choice(states) for _ in range(depth - 1)])
+            for _ in range(rng.randint(1, 8))
+        }
+    )
+    return g, members, classify, frontier
+
+
+# 218, 1425, 1683 and 1847 need a backjump's conflict set passed on to
+# the slot it lands on; a search that drops it misses tables there
+@pytest.mark.parametrize("seeds", [range(300), [218, 1425, 1683, 1847]])
+def test_slot_search_yields_what_plain_enumeration_accepts(seeds):
+    # Backjumping skips only assignments that extend to no table, so one
+    # depth yields the same tables, frontiers and order as a plain scan.
+    yields = 0
+    for seed in seeds:
+        g, members, classify, frontier = _slot_case(seed)
+        entries = tuple((h, tuple(g.obs_key(m, h[:-1]) for m in members)) for h in frontier)
+        got = list(_Search(g, members, classify)._assignments(entries))
+        assert got == _plain_assignments(g, members, classify, frontier)
+        yields += len(got)
+    assert yields > 0
