@@ -26,6 +26,7 @@ from .mc import BoundTooSmall, Truth, check
 from .reduction import (
     RIGHTMOST_LABELS,
     S_ERR,
+    ReductionCgs,
     build_cgs,
     decode_level,
     simulation_tree,
@@ -47,9 +48,10 @@ class _Failure(Exception):
         self.code = code
 
 
-def _load_machine(path):
+def _load_machine(path) -> ReductionCgs:
+    """The compiled game of the machine file at ``path``."""
     try:
-        return load_tm(path)
+        return build_cgs(load_tm(path))
     except FileNotFoundError:
         raise _Failure(EXIT_PARSE, f"no such file: {path}") from None
     except OSError as exc:
@@ -63,8 +65,7 @@ def _load_machine(path):
 
 
 def cmd_reduce(args) -> int:
-    m = _load_machine(args.machine)
-    rc = build_cgs(m)
+    rc = _load_machine(args.machine)
     for warning in rc.lint:
         print(f"warning: {warning}", file=sys.stderr)
     if args.output:
@@ -79,11 +80,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    m = _load_machine(args.machine)
+    rc = _load_machine(args.machine)
     if args.depth < 0:
         print("error: depth must be non-negative", file=sys.stderr)
         return EXIT_PARSE
-    rc = build_cgs(m)
     t = simulation_tree(rc, args.depth)
     if args.format == "dot":
         out = to_dot(rc.cgs, t)
@@ -190,11 +190,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_claims(args) -> int:
-    m = _load_machine(args.machine)
+    rc = _load_machine(args.machine)
     if args.depth < 3:
         print("error: depth must be at least 3", file=sys.stderr)
         return EXIT_PARSE
-    rc = build_cgs(m)
     report = verify_construction(rc, args.depth)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))

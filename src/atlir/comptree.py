@@ -18,7 +18,7 @@ import itertools
 from typing import AbstractSet, Iterable, Mapping
 
 from .cgs import Cgs, History, JointAction, successor
-from .strategies import TeamStrategy, compatible_tuples
+from .strategies import TeamStrategy, compatible_in_order, compatible_tuples
 
 NodeId = tuple[JointAction, ...]
 
@@ -51,19 +51,32 @@ class ComputationTree:
         if labels:
             lab.update(labels)
             lab[()] = root_label
-        self._labels: dict[NodeId, str] = lab
-        self._children: dict[NodeId, list[NodeId]] = {v: [] for v in lab}
         for v in lab:
-            if v:
-                parent = v[:-1]
-                if parent not in lab:
-                    raise TreeError(f"node {v!r} has no parent in the tree")
-                self._children[parent].append(v)
-        for v in self._children:
-            self._children[v].sort()
-        self._by_depth: dict[int, list[NodeId]] = {}
+            if v and v[:-1] not in lab:
+                raise TreeError(f"node {v!r} has no parent in the tree")
+        by_depth: dict[int, list[NodeId]] = {}
         for v in sorted(lab):
-            self._by_depth.setdefault(len(v), []).append(v)
+            by_depth.setdefault(len(v), []).append(v)
+        self._index(lab, by_depth)
+
+    @classmethod
+    def _from_levels(
+        cls, labels: dict[NodeId, str], levels: list[list[NodeId]]
+    ) -> ComputationTree:
+        """The tree of ``labels``, whose levels 0, 1, .. are ``levels``, each
+        already in sorted order and none empty."""
+        t = cls.__new__(cls)
+        t._index(labels, dict(enumerate(levels)))
+        return t
+
+    def _index(self, labels: dict[NodeId, str], by_depth: dict[int, list[NodeId]]) -> None:
+        self._labels = labels
+        self._by_depth = by_depth
+        self._children: dict[NodeId, list[NodeId]] = {v: [] for v in labels}
+        # levels are sorted, so each child list comes out sorted
+        for n in range(1, len(by_depth)):
+            for v in by_depth[n]:
+                self._children[v[:-1]].append(v)
         # per last_labels: the bit rows of levels 0, 1, .. (see _level_relation)
         self._order_cache: dict[frozenset[str], list[list[int]]] = {}
 
@@ -149,27 +162,34 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
 
     Extensions at distinct (node, action) pairs commute, so the result
     does not depend on the order in which they are applied.
+
+    The joint actions at a node are those of :func:`compatible_tuples`:
+    each member's choice on the node's history, every available action
+    of the others.  They are generated in sorted order, so each level
+    comes out sorted and is handed to the tree as its depth index.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     g.check_state(s)
     labels: dict[NodeId, str] = {(): s}
-    histories: dict[NodeId, History] = {(): (s,)}
-    frontier: list[NodeId] = [()]
+    levels: list[list[NodeId]] = [[()]]
+    frontier: list[tuple[NodeId, History]] = [((), (s,))]
     for _ in range(depth):
-        nxt: list[NodeId] = []
-        for v in frontier:
-            h = histories[v]
-            for a in sorted(compatible_tuples(g, team, h)):
-                s2 = g.delta.get((h[-1], a))
+        nxt: list[tuple[NodeId, History]] = []
+        for v, h in frontier:
+            last = h[-1]
+            for a in compatible_in_order(g, team, h):
+                s2 = g.delta.get((last, a))
                 if s2 is None:
                     continue
                 child = v + (a,)
                 labels[child] = s2
-                histories[child] = h + (s2,)
-                nxt.append(child)
+                nxt.append((child, h + (s2,)))
+        if not nxt:
+            break
+        levels.append([v for v, _ in nxt])
         frontier = nxt
-    return ComputationTree(s, labels)
+    return ComputationTree._from_levels(labels, levels)
 
 
 def is_complete_level(t: ComputationTree, n: int) -> bool:
@@ -239,20 +259,31 @@ def level(
     if len(nodes) <= 1:
         return nodes
     rows = _level_relation(t, frozenset(last_labels), n)
-    for (i, v), (j, w) in itertools.combinations(enumerate(nodes), 2):
-        fwd, bwd = rows[i] >> j & 1, rows[j] >> i & 1
-        if fwd and bwd:
-            raise OrderingNotTotal(
-                f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
-                f"are ordered both ways"
-            )
-        if not fwd and not bwd:
-            raise OrderingNotTotal(
-                f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
-                f"are incomparable"
-            )
-    preds = [sum(row >> i & 1 for row in rows) for i in range(len(nodes))]
-    return [nodes[i] for i in sorted(range(len(nodes)), key=preds.__getitem__)]
+    size = len(nodes)
+    # The rows are transitively closed, so with no node preceding itself
+    # they form a strict partial order, which is total exactly when it
+    # holds all size*(size-1)/2 pairs.  Only a failing level is scanned
+    # pair by pair, to name the first pair left unordered.
+    if any(row >> i & 1 for i, row in enumerate(rows)) or (
+        sum(map(int.bit_count, rows)) != size * (size - 1) // 2
+    ):
+        for (i, v), (j, w) in itertools.combinations(enumerate(nodes), 2):
+            fwd, bwd = rows[i] >> j & 1, rows[j] >> i & 1
+            if fwd and bwd:
+                raise OrderingNotTotal(
+                    f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
+                    f"are ordered both ways"
+                )
+            if not fwd and not bwd:
+                raise OrderingNotTotal(
+                    f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
+                    f"are incomparable"
+                )
+    # in a total order, a node with k successors has size-1-k predecessors
+    ordered = [()] * size
+    for v, row in zip(nodes, rows):
+        ordered[size - 1 - row.bit_count()] = v
+    return ordered
 
 
 # -- exports -----------------------------------------------------------------

@@ -32,6 +32,7 @@ converse direction at any finite depth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +43,7 @@ from .turing import (
     LEFT,
     RIGHT,
     Configuration,
+    MalformedMachine,
     TuringMachine,
     head_cell,
     lint_initial_state_reentry,
@@ -120,6 +122,10 @@ def build_cgs(m: TuringMachine) -> ReductionCgs:
     action not listed by the construction leads to ``s_err``, and
     ``s_err`` loops to itself under everything, which makes the
     transition map total exactly on the available tuples.
+
+    Raises :class:`MalformedMachine` when a tape symbol's cell state
+    would take the name of a bookkeeping state (symbols ``init``, ``lb``,
+    ``gen``, ``tr`` and ``err``).
     """
     fixed = [S_INIT, S_INIT2, S_LB, S_LB2, S_GEN, S_TR, S_TR2, S_ERR]
     cells = {a: cell_state(a) for a in sorted(m.alphabet)}
@@ -132,7 +138,8 @@ def build_cgs(m: TuringMachine) -> ReductionCgs:
     carriers = {t: carrier_state(*t) for t in moves}
     states = fixed + list(cells.values()) + list(heads.values()) + list(carriers.values())
     if len(set(states)) != len(states):
-        raise ValueError("generated state names collide")
+        clash = sorted({s for s in states if states.count(s) > 1})
+        raise MalformedMachine(f"generated state names collide: {', '.join(clash)}")
 
     movacts = {t: move_action(*t) for t in moves}
     q0act = init_action(m.q0)
@@ -272,11 +279,6 @@ def type2_closed(i: int) -> HistoryType:
     return HistoryType("type2_closed", i)
 
 
-def starts_generator_branch(h: History) -> bool:
-    """Whether the history enters the generator branch at step one."""
-    return len(h) >= 2 and h[0] == S_INIT and h[1] == S_GEN
-
-
 def classify_history(h: History) -> HistoryType:
     """Which branch shape a history has.
 
@@ -319,6 +321,27 @@ def classify_history(h: History) -> HistoryType:
     return OTHER
 
 
+def _next_shape(c: HistoryType | None, last: str | None, s: str) -> HistoryType:
+    """``classify_history(h + (s,))`` from ``c = classify_history(h)`` and
+    ``last = h[-1]``; ``c`` and ``last`` are None for the empty ``h``.
+
+    A refined type-2 history whose last state spawns (``s_gen`` or
+    ``s_tr``) is still inside its alternating spawn prefix; any other
+    ends in a tail that must stay free of spawns.
+    """
+    if c is None:
+        return ROOT if s == S_INIT else OTHER
+    if c.kind == "root":
+        return TYPE1 if s == S_INIT2 else type2_open(1) if s == S_GEN else OTHER
+    if not c.is_refined_type2:
+        return c
+    if last == S_TR and s == S_GEN:
+        return type2_open(c.index + 1)
+    if last == S_GEN and s == S_TR:
+        return type2_closed(c.index)
+    return OTHER if s in (S_GEN, S_TR) else c
+
+
 # -- the canonical simulating strategy ----------------------------------------
 
 
@@ -343,10 +366,16 @@ def simulating_strategy(rc: ReductionCgs) -> TeamStrategy:
     Both strategies are functions of the observation class alone, hence
     uniform on all histories, and they are compatible with availability
     since agents 1 and 2 may play every non-branching action anywhere.
+
+    Exactly one state carries ``p1`` (``s_gen``) and exactly one carries
+    ``p2`` (``s_tr``), so the spawn pattern is tested by counting that
+    state and slicing the history at the pattern's positions.
     """
     m = rc.machine
-    g = rc.cgs
     configs: list[Configuration | None] = [parse_configuration(m, (m.q0, m.blank))]
+    # per step j: (scanned cell, direction, move action) of the rule that
+    # step j applies, or None once the machine has halted
+    moves: dict[int, tuple[int, str, str] | None] = {}
 
     def config_after(t: int) -> Configuration | None:
         while len(configs) <= t:
@@ -358,23 +387,27 @@ def simulating_strategy(rc: ReductionCgs) -> TeamStrategy:
             configs.append(nxt if isinstance(nxt, Configuration) else None)
         return configs[t]
 
-    def move_if(j: int, head_at: int, direction: str) -> str | None:
+    def move_of(j: int) -> tuple[int, str, str] | None:
         c = config_after(j - 1)
-        if c is None or head_cell(m, c) != head_at:
+        if c is None:
             return None
         _, q, right = split_configuration(m, c)
         rule = m.delta.get((q, right[0]))
-        if rule is None or rule[2] != direction:
+        if rule is None:
             return None
-        return rc.move_actions[(q, rule[0], direction)]
+        return head_cell(m, c), rule[2], rc.move_actions[(q, rule[0], rule[2])]
 
-    def positions(h: History, prop: str) -> list[int]:
-        return [t for t, s in enumerate(h) if prop in g.label.get(s, frozenset())]
+    def move_if(j: int, head_at: int, direction: str) -> str | None:
+        if j not in moves:
+            moves[j] = move_of(j)
+        mv = moves[j]
+        if mv is None or mv[0] != head_at or mv[1] != direction:
+            return None
+        return mv[2]
 
     def play1(h: History) -> str:
-        pos = positions(h, P1)
-        if pos and pos == list(range(1, 2 * len(pos), 2)):
-            i = len(pos)
+        i = h.count(S_GEN)
+        if i and h[1 : 2 * i : 2].count(S_GEN) == i:
             n = len(h)
             if n >= 4 and n % 2 == 0:
                 act = move_if((n - 2) // 2, head_at=i, direction=RIGHT)
@@ -387,11 +420,10 @@ def simulating_strategy(rc: ReductionCgs) -> TeamStrategy:
         return IDLE
 
     def play2(h: History) -> str:
-        pos = positions(h, P2)
-        if not pos:
+        i = h.count(S_TR)
+        if not i:
             return rc.init_action if len(h) == 3 else IDLE
-        if pos == list(range(2, 2 + 2 * len(pos), 2)):
-            i = len(pos)
+        if h[2 : 2 * i + 1 : 2].count(S_TR) == i:
             n = len(h)
             if n >= 5 and n % 2 == 1:
                 act = move_if((n - 3) // 2, head_at=i, direction=RIGHT)
@@ -530,17 +562,20 @@ def _precedes(c1: HistoryType, c2: HistoryType) -> bool:
 
 
 class _NodeFacts(NamedTuple):
-    """What the claim groups read of one tree node, computed once.
+    """What the claim groups read of one tree node, built from its parent's.
 
-    ``key1`` and ``key2`` are ``Cgs.obs_key`` of the history for agents 1
-    and 2.  Histories of one level have equal length, so two of them look
-    alike to agent i exactly when their keys for i are equal.
+    ``key1`` and ``key2`` are ids that two nodes of one level share
+    exactly when their histories' ``Cgs.obs_key`` for agent 1 (2) are
+    equal, that is, when the histories look alike to that agent.
+    ``gen`` says whether the history enters the generator branch at step
+    one; ``spawns`` counts its ``s_gen`` and its ``s_tr`` states.
     """
 
-    history: History
     shape: HistoryType
-    key1: tuple[int, ...]
-    key2: tuple[int, ...]
+    key1: int
+    key2: int
+    gen: bool
+    spawns: tuple[int, int]
 
 
 def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
@@ -589,21 +624,10 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
         )
     )
 
-    facts: dict[NodeId, _NodeFacts] = {}
+    facts = _node_facts(g, t, limit)
     orders: dict[int, list] = {}
     order_fail: dict[int, str] = {}
     for n in range(limit + 1):
-        for v in t.nodes_at_depth(n):
-            s = t.label(v)
-            up = facts[v[:-1]] if v else _NodeFacts((), ROOT, (), ())
-            h = up.history + (s,)
-            # observation keys are pointwise, so each extends its parent's
-            facts[v] = _NodeFacts(
-                h,
-                classify_history(h),
-                up.key1 + (g.block_of(1, s),),
-                up.key2 + (g.block_of(2, s),),
-            )
         try:
             orders[n] = level(t, n, RIGHTMOST_LABELS)
         except OrderingNotTotal as exc:
@@ -619,56 +643,129 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
 
 
-def _check_pair_equivalences(t, facts, limit, entries):
-    for n in range(1, limit + 1):
-        ok = {k: True for k in ("1.1", "1.2", "1.3", "1.4")}
-        why = {k: "" for k in ok}
-        rows = [
-            (
-                f.history,
-                f.shape,
-                f.key1,
-                f.key2,
-                starts_generator_branch(f.history),
-                (f.history.count(S_GEN), f.history.count(S_TR)),
+def _node_facts(g: Cgs, t: ComputationTree, limit: int) -> dict[NodeId, _NodeFacts]:
+    """The facts of every node down to depth ``limit``, each from its parent's."""
+    facts: dict[NodeId, _NodeFacts] = {}
+    # key ids: the id of a parent's key extended by one block
+    ids: dict[tuple[int, int], int] = {}
+    for n in range(limit + 1):
+        for v in t.nodes_at_depth(n):
+            s = t.label(v)
+            if v:
+                up = facts[v[:-1]]
+                shape = _next_shape(up.shape, t.label(v[:-1]), s)
+            else:
+                # the empty history's facts, with -1 for its key ids
+                up = _NodeFacts(None, -1, -1, False, (0, 0))
+                shape = _next_shape(None, None, s)
+            gens, trs = up.spawns
+            facts[v] = _NodeFacts(
+                shape,
+                # observation keys are pointwise, so each extends its parent's
+                ids.setdefault((up.key1, g.block_of(1, s)), len(ids)),
+                ids.setdefault((up.key2, g.block_of(2, s)), len(ids)),
+                up.gen or (up.shape == ROOT and s == S_GEN),
+                (gens + (s == S_GEN), trs + (s == S_TR)),
             )
-            for f in map(facts.__getitem__, t.nodes_at_depth(n))
-        ]
-        for h1, c1, k11, k12, gen1, counts1 in rows:
-            for h2, c2, k21, k22, gen2, counts2 in rows:
-                if h1 == h2:
-                    continue
-                if c1.kind == "type1" and gen2:
-                    if k11 == k21:
-                        ok["1.1"], why["1.1"] = False, f"reference branch ~1 {c2}"
-                    if k12 == k22 and c2 != type2_open(1):
-                        ok["1.2"], why["1.2"] = False, f"reference branch ~2 {c2}"
-                if gen1 and gen2:
-                    if counts1 == counts2:
+    return facts
+
+
+def _check_pair_equivalences(t, facts, limit, entries):
+    """Claims 1.1-1.4: which branch shapes look alike to which agent.
+
+    A pair of nodes can fail a claim only if their histories look alike
+    to the claim's agent, so only pairs within one observation key are
+    compared.  A pair with equal histories, a node with itself included,
+    fails none: a type-1 history never enters the generator branch, and
+    equal histories have equal spawn counts.  Each claim reports the
+    last failing pair in the order of a row-major scan of the level's
+    nodes against themselves.
+    """
+    for n in range(1, limit + 1):
+        rows = [facts[v] for v in t.nodes_at_depth(n)]
+        # per subclaim: the last failing pair (a, b) and its detail
+        last: dict[str, tuple[tuple[int, int], str]] = {}
+
+        def fail(sub, a, b, detail):
+            if sub not in last or (a, b) > last[sub][0]:
+                last[sub] = ((a, b), detail)
+
+        for agent in (1, 2):
+            groups: dict[int, list[int]] = {}
+            for a, f in enumerate(rows):
+                if f.gen or f.shape.kind == "type1":
+                    groups.setdefault(f.key1 if agent == 1 else f.key2, []).append(a)
+            for group in groups.values():
+                for a, b in itertools.product(group, repeat=2):
+                    f1, f2 = rows[a], rows[b]
+                    c1, c2 = f1.shape, f2.shape
+                    if c1.kind == "type1" and f2.gen:
+                        if agent == 1:
+                            fail("1.1", a, b, f"reference branch ~1 {c2}")
+                        elif c2 != type2_open(1):
+                            fail("1.2", a, b, f"reference branch ~2 {c2}")
+                    if not (f1.gen and f2.gen) or f1.spawns == f2.spawns:
                         continue
-                    if k11 == k21:
-                        fine = (
-                            c1.is_refined_type2
-                            and c2.is_refined_type2
-                            and c1.index == c2.index
-                            and {c1.kind, c2.kind} == {"type2_open", "type2_closed"}
-                        )
-                        if not fine:
-                            ok["1.3"], why["1.3"] = False, f"{c1} ~1 {c2}"
-                    if k12 == k22:
-                        fine = (
+                    if agent == 1 and not (
+                        c1.is_refined_type2
+                        and c2.is_refined_type2
+                        and c1.index == c2.index
+                        and {c1.kind, c2.kind} == {"type2_open", "type2_closed"}
+                    ):
+                        fail("1.3", a, b, f"{c1} ~1 {c2}")
+                    if agent == 2 and not (
+                        (
                             c1.kind == "type2_closed"
                             and c2.kind == "type2_open"
                             and c2.index == c1.index + 1
-                        ) or (
+                        )
+                        or (
                             c2.kind == "type2_closed"
                             and c1.kind == "type2_open"
                             and c1.index == c2.index + 1
                         )
-                        if not fine:
-                            ok["1.4"], why["1.4"] = False, f"{c1} ~2 {c2}"
+                    ):
+                        fail("1.4", a, b, f"{c1} ~2 {c2}")
         for k in ("1.1", "1.2", "1.3", "1.4"):
-            entries.append(ClaimEntry(1, k, n, ok[k], why[k]))
+            entries.append(ClaimEntry(1, k, n, k not in last, last[k][1] if k in last else ""))
+
+
+def _first_misordered(shapes: list[HistoryType]) -> tuple[int, int] | None:
+    """The first pair of positions a < b, in row-major order, whose shapes
+    :func:`_precedes` does not order strictly a before b.
+
+    Position a fails with some later position exactly when: a is type 1
+    and a later one is too; or a has no order key (other shapes); or a
+    later position has no order key or a key no larger than a's.  A
+    suffix minimum of the keys, with a missing key lowest, finds the
+    first failing a in one pass from the right; its partner is the first
+    failing b after it.
+    """
+    size = len(shapes)
+    keys = [_order_key(c) for c in shapes]
+    lowest = (-1, -1)  # below every order key
+    suffix_min: list = [None] * size  # over positions after a
+    suffix_type1 = [False] * size
+    low, type1 = None, False
+    for a in range(size - 1, -1, -1):
+        suffix_min[a], suffix_type1[a] = low, type1
+        k = lowest if keys[a] is None else keys[a]
+        low = k if low is None or k < low else low
+        type1 = type1 or shapes[a].kind == "type1"
+    for a in range(size - 1):
+        x = shapes[a]
+        if x.kind == "type1":
+            bad = suffix_type1[a]
+        else:
+            bad = keys[a] is None or suffix_min[a] <= keys[a]
+        if bad:
+            b = next(
+                b
+                for b in range(a + 1, size)
+                if not _precedes(x, shapes[b]) or _precedes(shapes[b], x)
+            )
+            return a, b
+    return None
 
 
 def _check_level_structure(t, facts, orders, order_fail, limit, entries):
@@ -704,14 +801,11 @@ def _check_level_structure(t, facts, orders, order_fail, limit, entries):
             continue
         ordered = [facts[v].shape for v in orders[n]]
         char_ok, detail = True, ""
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                if not _precedes(ordered[a], ordered[b]) or _precedes(ordered[b], ordered[a]):
-                    char_ok = False
-                    detail = f"positions {a + 1},{b + 1}: {ordered[a]} vs {ordered[b]}"
-                    break
-            if not char_ok:
-                break
+        pair = _first_misordered(ordered)
+        if pair is not None:
+            a, b = pair
+            char_ok = False
+            detail = f"positions {a + 1},{b + 1}: {ordered[a]} vs {ordered[b]}"
         entries.append(ClaimEntry(2, "2.4", n, char_ok, detail))
         entries.append(ClaimEntry(2, "2.5", n, True, "total order"))
 
@@ -724,7 +818,7 @@ def _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries):
         labels = [t.label(v) for v in orders[n]]
         row = [facts[v] for v in orders[n]]
 
-        down_ok = all(len(t.nodes_at_depth(k)) == k + 1 for k in range(1, n))
+        down_ok = all(k in complete for k in range(1, n))
         entries.append(ClaimEntry(3, "3.1", n, down_ok, ""))
 
         pos_ok, detail = True, ""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .cgs import Cgs, History, JointAction
 
@@ -92,20 +92,30 @@ def compatible_tuples(g: Cgs, team: TeamStrategy, history: History) -> set[Joint
     """
     if not history:
         raise ValueError("histories must be non-empty")
-    last = history[-1]
+    return set(compatible_in_order(g, team, tuple(history)))
+
+
+def compatible_in_order(g: Cgs, team: TeamStrategy, history: History) -> Iterator[JointAction]:
+    """:func:`compatible_tuples` of a non-empty history tuple, in sorted order.
+
+    Each agent's factor is one action or a sorted, repeat-free tuple, so
+    their product comes out sorted and repeat-free.
+    """
+    last = g.check_state(history[-1])
     choices = []
     for i in range(1, g.agents + 1):
-        if i in team.members:
-            act = team.strategies[i].action(g, tuple(history))
-            if act not in g.available(i, last):
-                raise StrategyError(
-                    f"agent {i} plays {act!r} on a history ending at {last!r}, "
-                    f"where it is not available"
-                )
-            choices.append((act,))
-        else:
+        st = team.strategies.get(i)
+        if st is None:
             choices.append(g.available_sorted(i, last))
-    return {c for c in itertools.product(*choices)}
+            continue
+        act = st.action(g, history)
+        if act not in g.avail.get((i, last), ()):
+            raise StrategyError(
+                f"agent {i} plays {act!r} on a history ending at {last!r}, "
+                f"where it is not available"
+            )
+        choices.append((act,))
+    return itertools.product(*choices)
 
 
 def outcomes(g: Cgs, s: str, team: TeamStrategy, depth: int) -> set[History]:

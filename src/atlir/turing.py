@@ -229,17 +229,50 @@ def tm_to_json(m: TuringMachine) -> dict:
     }
 
 
+def _malformed(what: str) -> MalformedMachine:
+    return MalformedMachine(f"malformed machine document: {what}")
+
+
+def _strings(value, field: str, *at) -> list[str]:
+    """``value`` if it is a list of strings; ``field`` is a format string
+    for ``at``, filled in only on error."""
+    if not isinstance(value, (list, tuple)):
+        raise _malformed(f"{field.format(*at)} must be a list, not {type(value).__name__}")
+    for x in value:
+        if not isinstance(x, str):
+            raise _malformed(f"{field.format(*at)} holds {x!r}, which is not a string")
+    return value
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise _malformed(f"{field} must be a string, not {type(value).__name__}")
+    return value
+
+
 def tm_from_json(doc: Mapping) -> TuringMachine:
+    """Build a machine from its JSON document, in one pass over it.
+
+    Raises :class:`MalformedMachine` naming the field when the document
+    is not an object, a key is missing or a value has the wrong type
+    (the message then starts ``malformed machine document``), and when
+    the fields are well typed but do not make a machine.
+    """
+    if not isinstance(doc, Mapping):
+        raise _malformed(f"the document must be an object, not {type(doc).__name__}")
     try:
-        states = doc["states"]
-        alphabet = doc["alphabet"]
-        q0 = doc["q0"]
-        blank = doc["blank"]
+        states = _strings(doc["states"], "states")
+        alphabet = _strings(doc["alphabet"], "alphabet")
+        q0 = _string(doc["q0"], "q0")
+        blank = _string(doc["blank"], "blank")
         rows = doc["delta"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedMachine(f"malformed machine document: {exc}") from exc
+    except KeyError as exc:
+        raise _malformed(f"missing field {exc}") from None
+    if not isinstance(rows, (list, tuple)):
+        raise _malformed(f"delta must be a list, not {type(rows).__name__}")
     delta = {}
     for row in rows:
+        _strings(row, "delta row {!r}", row)
         if len(row) != 5:
             raise MalformedMachine(f"rule row {row!r} must have 5 fields")
         q, a, q2, a2, move = row

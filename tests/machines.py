@@ -79,3 +79,5 @@ FIVE_MACHINES = {
     "left_bouncing_halter": LBOUNCE,
     "three_state_loop": LOOP3,
 }
+
+SIX_MACHINES = {**FIVE_MACHINES, "single_rule_halter": M_HALT}

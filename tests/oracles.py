@@ -6,17 +6,57 @@ checker enumerates whole strategy tables per depth, the tree twin grows
 explicit computation trees, and the generator builds structures
 directly.  The reference level ordering closes explicit pair sets, level
 by level from the root, on every call, and the reference validator tests
-every transition row against the availability sets.
+every transition row against the availability sets.  The reference
+construction checks rescan whole histories: the simulating strategy for
+its spawn positions, and the claim checks for branch shapes and for
+every pair of nodes on a level.
 """
 
 import itertools
 import random
+from typing import NamedTuple
 
-from atlir.cgs import Cgs, Violation
-from atlir.comptree import ComputationTree, OrderingNotTotal, extend, single_node
+from atlir.cgs import Cgs, History, Violation
+from atlir.comptree import (
+    ComputationTree,
+    NodeId,
+    OrderingNotTotal,
+    extend,
+    level,
+    single_node,
+)
 from atlir.formulas import And, Atom, Globally, Next, Not, Until
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, Verdict
+from atlir.reduction import (
+    IDLE,
+    P1,
+    P2,
+    RIGHTMOST_LABELS,
+    ROOT,
+    S_ERR,
+    S_GEN,
+    S_INIT,
+    S_TR,
+    ClaimEntry,
+    ClaimReport,
+    HistoryType,
+    _check_decoding,
+    _check_form_succession,
+    _check_level_anatomy,
+    _precedes,
+    classify_history,
+    type2_open,
+)
 from atlir.strategies import AgentStrategy, TeamStrategy, compatible_tuples, outcomes
+from atlir.turing import (
+    LEFT,
+    RIGHT,
+    Configuration,
+    head_cell,
+    parse_configuration,
+    split_configuration,
+    step,
+)
 
 
 def backward_induction_safe(g: Cgs, members, p: str) -> set[str]:
@@ -602,3 +642,326 @@ def reference_validate(g: Cgs) -> list[Violation]:
                 )
             )
     return out
+
+
+# -- reference construction checks --------------------------------------------
+#
+# atlir.reduction's simulation tree and claim checks as first written:
+# the simulating strategy lists each history's proposition positions,
+# saturation goes through compatible_tuples and sorts, every node's
+# branch shape is classify_history of its whole history, and claims 1
+# and 2.4 test every pair of nodes on a level.  The library must build
+# equal trees and report the same entries.
+
+
+def reference_simulating_strategy(rc):
+    """The strategy of agents 1 and 2 that tracks the machine.
+
+    Each agent's choice is a function of what it observes: the history's
+    length and the positions where its proposition held.  On histories
+    observing the spawn pattern (p1 at positions 1, 3, .., 2i-1 for
+    agent 1; p2 at 2, 4, .., 2i for agent 2) the agent replays the
+    machine: it simulates enough steps to know the configuration the
+    next move acts on and, when the scanned cell sits where that
+    history's branch needs it, plays the matching move action.  Agent 2
+    additionally plays the set-up action on every three-state history
+    observing no p2, which covers both branches that write the initial
+    head.  Everything else idles.
+
+    Agent 1 initiates right moves (even history length) and discharges
+    left-move carriers (odd length); agent 2 discharges right-move
+    carriers (odd length) and initiates left moves (even length).
+
+    Both strategies are functions of the observation class alone, hence
+    uniform on all histories, and they are compatible with availability
+    since agents 1 and 2 may play every non-branching action anywhere.
+    """
+    m = rc.machine
+    g = rc.cgs
+    configs: list[Configuration | None] = [parse_configuration(m, (m.q0, m.blank))]
+
+    def config_after(t: int) -> Configuration | None:
+        while len(configs) <= t:
+            prev = configs[-1]
+            if prev is None:
+                configs.append(None)
+                continue
+            nxt = step(m, prev)
+            configs.append(nxt if isinstance(nxt, Configuration) else None)
+        return configs[t]
+
+    def move_if(j: int, head_at: int, direction: str) -> str | None:
+        c = config_after(j - 1)
+        if c is None or head_cell(m, c) != head_at:
+            return None
+        _, q, right = split_configuration(m, c)
+        rule = m.delta.get((q, right[0]))
+        if rule is None or rule[2] != direction:
+            return None
+        return rc.move_actions[(q, rule[0], direction)]
+
+    def positions(h: History, prop: str) -> list[int]:
+        return [t for t, s in enumerate(h) if prop in g.label.get(s, frozenset())]
+
+    def play1(h: History) -> str:
+        pos = positions(h, P1)
+        if pos and pos == list(range(1, 2 * len(pos), 2)):
+            i = len(pos)
+            n = len(h)
+            if n >= 4 and n % 2 == 0:
+                act = move_if((n - 2) // 2, head_at=i, direction=RIGHT)
+                if act:
+                    return act
+            if n >= 5 and n % 2 == 1:
+                act = move_if((n - 3) // 2, head_at=i + 1, direction=LEFT)
+                if act:
+                    return act
+        return IDLE
+
+    def play2(h: History) -> str:
+        pos = positions(h, P2)
+        if not pos:
+            return rc.init_action if len(h) == 3 else IDLE
+        if pos == list(range(2, 2 + 2 * len(pos), 2)):
+            i = len(pos)
+            n = len(h)
+            if n >= 5 and n % 2 == 1:
+                act = move_if((n - 3) // 2, head_at=i, direction=RIGHT)
+                if act:
+                    return act
+            if n >= 4 and n % 2 == 0:
+                act = move_if((n - 2) // 2, head_at=i + 1, direction=LEFT)
+                if act:
+                    return act
+        return IDLE
+
+    return TeamStrategy.of(
+        AgentStrategy.from_procedure(1, play1),
+        AgentStrategy.from_procedure(2, play2),
+    )
+
+
+def reference_saturate(g, s, team, depth):
+    """The maximal tree of extension steps with paths of at most depth+1 nodes.
+
+    Extensions at distinct (node, action) pairs commute, so the result
+    does not depend on the order in which they are applied.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    g.check_state(s)
+    labels: dict[NodeId, str] = {(): s}
+    histories: dict[NodeId, History] = {(): (s,)}
+    frontier: list[NodeId] = [()]
+    for _ in range(depth):
+        nxt: list[NodeId] = []
+        for v in frontier:
+            h = histories[v]
+            for a in sorted(compatible_tuples(g, team, h)):
+                s2 = g.delta.get((h[-1], a))
+                if s2 is None:
+                    continue
+                child = v + (a,)
+                labels[child] = s2
+                histories[child] = h + (s2,)
+                nxt.append(child)
+        frontier = nxt
+    return ComputationTree(s, labels)
+
+
+def starts_generator_branch(h: History) -> bool:
+    """Whether the history enters the generator branch at step one."""
+    return len(h) >= 2 and h[0] == S_INIT and h[1] == S_GEN
+
+
+class _ReferenceFacts(NamedTuple):
+    """What the claim groups read of one tree node, computed once.
+
+    ``key1`` and ``key2`` are ``Cgs.obs_key`` of the history for agents 1
+    and 2.  Histories of one level have equal length, so two of them look
+    alike to agent i exactly when their keys for i are equal.
+    """
+
+    history: History
+    shape: HistoryType
+    key1: tuple[int, ...]
+    key2: tuple[int, ...]
+
+
+def reference_node_facts(g, t, limit):
+    facts: dict[NodeId, _ReferenceFacts] = {}
+    for n in range(limit + 1):
+        for v in t.nodes_at_depth(n):
+            s = t.label(v)
+            up = facts[v[:-1]] if v else _ReferenceFacts((), ROOT, (), ())
+            h = up.history + (s,)
+            # observation keys are pointwise, so each extends its parent's
+            facts[v] = _ReferenceFacts(
+                h,
+                classify_history(h),
+                up.key1 + (g.block_of(1, s),),
+                up.key2 + (g.block_of(2, s),),
+            )
+    return facts
+
+
+def reference_verify_construction(rc, depth):
+    """Machine-check the structural and simulation laws of the compiled game.
+
+    Saturates the tree under the simulating strategy and verifies, per
+    level, four groups of properties:
+
+    1. history-pair equivalences: which branch shapes may look alike to
+       which agent;
+    2. level structure: cardinality bound, branch-shape census, and a
+       total left-to-right order matching the branch shapes;
+    3. complete-level anatomy: downward completeness, the position-to-
+       shape map, the equivalence chain between neighbouring branches,
+       and the level-form grammar with its succession;
+    4. level decoding: every complete odd level from 3 on reads as a
+       configuration, and two levels later reads as its successor.
+
+    Failures become report entries naming the offending level, never
+    exceptions.  If an error node appears, the checks cover the levels
+    before it and the report says where it surfaced.
+    """
+    if depth < 3:
+        raise ValueError("depth must be at least 3")
+    m = rc.machine
+    g = rc.cgs
+    t = reference_saturate(g, S_INIT, reference_simulating_strategy(rc), depth)
+    entries: list[ClaimEntry] = []
+
+    err_level = None
+    for n in range(depth + 1):
+        if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n)):
+            err_level = n
+            break
+    limit = depth if err_level is None else err_level - 1
+    entries.append(
+        ClaimEntry(
+            0,
+            "ok-states",
+            err_level,
+            err_level is None,
+            f"no error nodes to depth {depth}"
+            if err_level is None
+            else f"error state first reached at level {err_level}; "
+            f"checks cover levels up to {limit}",
+        )
+    )
+
+    facts = reference_node_facts(g, t, limit)
+    orders: dict[int, list] = {}
+    order_fail: dict[int, str] = {}
+    for n in range(limit + 1):
+        try:
+            orders[n] = level(t, n, RIGHTMOST_LABELS)
+        except OrderingNotTotal as exc:
+            order_fail[n] = str(exc)
+
+    reference_pair_equivalences(t, facts, limit, entries)
+    reference_level_structure(t, facts, orders, order_fail, limit, entries)
+    complete = {n for n in range(1, limit + 1) if len(t.nodes_at_depth(n)) == n + 1}
+    forms = _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries)
+    _check_form_succession(forms, complete, limit, entries)
+    _check_decoding(rc, t, complete, order_fail, limit, entries)
+
+    return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
+
+
+def reference_pair_equivalences(t, facts, limit, entries):
+    for n in range(1, limit + 1):
+        ok = {k: True for k in ("1.1", "1.2", "1.3", "1.4")}
+        why = {k: "" for k in ok}
+        rows = [
+            (
+                f.history,
+                f.shape,
+                f.key1,
+                f.key2,
+                starts_generator_branch(f.history),
+                (f.history.count(S_GEN), f.history.count(S_TR)),
+            )
+            for f in map(facts.__getitem__, t.nodes_at_depth(n))
+        ]
+        for h1, c1, k11, k12, gen1, counts1 in rows:
+            for h2, c2, k21, k22, gen2, counts2 in rows:
+                if h1 == h2:
+                    continue
+                if c1.kind == "type1" and gen2:
+                    if k11 == k21:
+                        ok["1.1"], why["1.1"] = False, f"reference branch ~1 {c2}"
+                    if k12 == k22 and c2 != type2_open(1):
+                        ok["1.2"], why["1.2"] = False, f"reference branch ~2 {c2}"
+                if gen1 and gen2:
+                    if counts1 == counts2:
+                        continue
+                    if k11 == k21:
+                        fine = (
+                            c1.is_refined_type2
+                            and c2.is_refined_type2
+                            and c1.index == c2.index
+                            and {c1.kind, c2.kind} == {"type2_open", "type2_closed"}
+                        )
+                        if not fine:
+                            ok["1.3"], why["1.3"] = False, f"{c1} ~1 {c2}"
+                    if k12 == k22:
+                        fine = (
+                            c1.kind == "type2_closed"
+                            and c2.kind == "type2_open"
+                            and c2.index == c1.index + 1
+                        ) or (
+                            c2.kind == "type2_closed"
+                            and c1.kind == "type2_open"
+                            and c1.index == c2.index + 1
+                        )
+                        if not fine:
+                            ok["1.4"], why["1.4"] = False, f"{c1} ~2 {c2}"
+        for k in ("1.1", "1.2", "1.3", "1.4"):
+            entries.append(ClaimEntry(1, k, n, ok[k], why[k]))
+
+
+def reference_level_structure(t, facts, orders, order_fail, limit, entries):
+    for n in range(1, limit + 1):
+        cs = [facts[v].shape for v in t.nodes_at_depth(n)]
+        shapes_ok = len(cs) <= n + 1 and all(
+            c.kind in ("type1", "type2_open", "type2_closed") for c in cs
+        )
+        entries.append(
+            ClaimEntry(
+                2,
+                "2.1",
+                n,
+                shapes_ok,
+                f"{len(cs)} nodes"
+                if shapes_ok
+                else f"{len(cs)} nodes, shapes {[str(c) for c in cs]}",
+            )
+        )
+        n_ref = sum(1 for c in cs if c.kind == "type1")
+        entries.append(ClaimEntry(2, "2.2", n, n_ref <= 1, f"{n_ref} reference nodes"))
+
+        census_ok, detail = True, ""
+        for kind, bound in (("type2_open", (n + 1) // 2), ("type2_closed", n // 2)):
+            seen = [c.index for c in cs if c.kind == kind]
+            if len(seen) != len(set(seen)) or any(i > bound for i in seen):
+                census_ok, detail = False, f"{kind} census {sorted(seen)}"
+        entries.append(ClaimEntry(2, "2.3", n, census_ok, detail))
+
+        if n in order_fail:
+            entries.append(ClaimEntry(2, "2.4", n, False, order_fail[n]))
+            entries.append(ClaimEntry(2, "2.5", n, False, order_fail[n]))
+            continue
+        ordered = [facts[v].shape for v in orders[n]]
+        char_ok, detail = True, ""
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                if not _precedes(ordered[a], ordered[b]) or _precedes(ordered[b], ordered[a]):
+                    char_ok = False
+                    detail = f"positions {a + 1},{b + 1}: {ordered[a]} vs {ordered[b]}"
+                    break
+            if not char_ok:
+                break
+        entries.append(ClaimEntry(2, "2.4", n, char_ok, detail))
+        entries.append(ClaimEntry(2, "2.5", n, True, "total order"))

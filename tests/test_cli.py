@@ -6,7 +6,7 @@ from machines import LBOUNCE, M5, M5_EXT, M_HALT
 
 from atlir.cgs import load_cgs
 from atlir.cli import main
-from atlir.turing import save_tm
+from atlir.turing import save_tm, tm_to_json
 
 
 @pytest.fixture()
@@ -252,6 +252,42 @@ def test_unreadable_machine_is_parse_error(tmp_path, capsys, command):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+
+MACHINE_COMMANDS = [["reduce"], ["simulate", "-d", "3"], ["verify-claims", "-d", "3"]]
+
+
+@pytest.mark.parametrize("command", MACHINE_COMMANDS)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("states", 5, "states must be a list, not int"),
+        ("states", ["q0", 3], "states holds 3, which is not a string"),
+        ("q0", ["q0"], "q0 must be a string, not list"),
+    ],
+)
+def test_mistyped_machine_is_parse_error(tmp_path, capsys, command, field, value, message):
+    doc = tm_to_json(M5)
+    doc[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed machine document: {message}\n"
+
+
+@pytest.mark.parametrize("command", MACHINE_COMMANDS)
+def test_machine_symbol_named_like_a_construction_state(tmp_path, capsys, command):
+    # the cell state of symbol "gen" would be the generator state s_gen
+    doc = tm_to_json(M5)
+    doc["alphabet"].append("gen")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path)] + command[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generated state names collide: s_gen\n"
 
 
 def test_check_allow_invalid(tmp_path, capsys):

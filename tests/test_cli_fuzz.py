@@ -1,8 +1,11 @@
-"""Fuzz the exit-code contract of ``atlir check``.
+"""Fuzz the exit-code contract of ``atlir check`` and the machine commands.
 
 Whatever the structure document, the formula text or the job file, a
 call returns an exit code in 0..5 without an uncaught exception, and it
-returns 1 exactly when it prints a ``False`` verdict.
+returns 1 exactly when it prints a ``False`` verdict.  Whatever the
+machine document, ``reduce``, ``simulate --decode`` and ``verify-claims``
+return an exit code in 0..5 without an uncaught exception, and
+``verify-claims`` returns 1 exactly when its report has a failing entry.
 """
 
 import contextlib
@@ -45,6 +48,19 @@ WELL_FORMED = (
 GAME = "<game>"
 
 
+def _corrupt(doc, rng, draw):
+    """Replace or delete a value anywhere inside the document, now and then."""
+    while doc and rng.random() < 0.2:
+        parent, key = doc, rng.choice(sorted(doc))
+        while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.6:
+            parent = parent[key]
+            key = rng.choice(sorted(parent) if isinstance(parent, dict) else range(len(parent)))
+        if rng.random() < 0.5:
+            parent[key] = draw(json_values)
+        else:
+            del parent[key]
+
+
 @st.composite
 def calls(draw):
     """A structure document, a job document or None, and the state,
@@ -58,16 +74,7 @@ def calls(draw):
         doc = draw(json_values)
     else:
         doc = cgs_to_json(random_cgs(rng, max_states=3, max_actions=2))
-        # replace or delete a value anywhere inside the document
-        while doc and rng.random() < 0.2:
-            parent, key = doc, rng.choice(sorted(doc))
-            while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.6:
-                parent = parent[key]
-                key = rng.choice(sorted(parent) if isinstance(parent, dict) else range(len(parent)))
-            if rng.random() < 0.5:
-                parent[key] = draw(json_values)
-            else:
-                del parent[key]
+        _corrupt(doc, rng, draw)
     state = rng.choice(["s0", "s1"]) if rng.random() < 0.92 else draw(st.text(max_size=3))
     formula = rng.choice(WELL_FORMED) if rng.random() < 0.85 else draw(formula_texts)
     bound = rng.randint(1, 3) if rng.random() < 0.9 else draw(st.integers(-2, 0))
@@ -117,3 +124,63 @@ def test_check_keeps_the_exit_code_contract(call):
     if code == 2:
         assert out == ""
         assert err.startswith("error: ")
+
+
+# names a machine document may use: its own, those whose cell states
+# would clash with the construction's states, and invalid identifiers
+ODD_NAMES = ("gen", "init", "tr", "err", "lb", "q0", "B", "a-b", "", "q,B")
+
+
+@st.composite
+def machine_calls(draw):
+    """A machine document and one machine command line for it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if rng.random() < 0.1:
+        doc = draw(json_values)
+    else:
+        states = rng.sample(["q0", "q1", "q2"], rng.randint(1, 3))
+        alphabet = ["B"] + rng.sample(["a", "b"], rng.randint(0, 2))
+        names = states + alphabet
+        if rng.random() < 0.15:
+            names[rng.randrange(len(names))] = rng.choice(ODD_NAMES)
+        states, alphabet = names[: len(states)], names[len(states) :]
+        delta = [
+            [q, a, rng.choice(states), rng.choice(alphabet), rng.choice("LRR")]
+            for q in states
+            for a in alphabet
+            if rng.random() < 0.7
+        ]
+        doc = {"states": states, "alphabet": alphabet, "q0": states[0], "blank": alphabet[0],
+               "delta": delta}
+        _corrupt(doc, rng, draw)
+    command = rng.choice(["reduce", "simulate", "verify-claims"])
+    options = []
+    if command == "simulate":
+        options = ["--decode", "-d", str(rng.randint(3, 6))]
+        options += rng.choice([[], ["--format", "dot"]])
+    elif command == "verify-claims":
+        options = ["-d", str(rng.randint(3, 6))] + rng.choice([[], ["--format", "json"]])
+    return doc, command, options
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine_calls())
+def test_machine_commands_keep_the_exit_code_contract(call):
+    doc, command, options = call
+    with tempfile.TemporaryDirectory() as tmp:
+        machine = Path(tmp, "machine.json")
+        machine.write_text(json.dumps(doc))
+        code, out, err = run([command, str(machine)] + options)
+    assert code in range(6)
+    if code in (2, 3):
+        assert out == ""
+        assert err.startswith("error: ")
+    if command != "verify-claims":
+        assert code != 1
+    elif code in (0, 1):
+        if "json" in options:
+            failing = any(not e["pass"] for e in json.loads(out))
+        else:
+            rows = out.splitlines()[1:-1]
+            failing = any(row.split()[3] == "FAIL" for row in rows)
+        assert (code == 1) == failing

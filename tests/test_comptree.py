@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from machines import FIVE_MACHINES
+from machines import SIX_MACHINES
 from oracles import random_label_tree, reference_level
 
 from atlir.cgs import Cgs
@@ -223,9 +223,9 @@ def _assert_levels_match(t, last_labels, seen):
             seen.add("total")
 
 
-@pytest.mark.parametrize("name", sorted(FIVE_MACHINES))
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
 def test_level_matches_reference_on_simulation_trees(name):
-    t = simulation_tree(build_cgs(FIVE_MACHINES[name]), 15)
+    t = simulation_tree(build_cgs(SIX_MACHINES[name]), 15)
     seen = set()
     for last_labels in (RIGHTMOST_LABELS, frozenset(), {S_GEN}, {S_TR2}):
         _assert_levels_match(t, last_labels, seen)

@@ -1,13 +1,27 @@
+import random
+
 import pytest
 
-from machines import FIVE_MACHINES, LOOP3
+from machines import FIVE_MACHINES, LOOP3, SIX_MACHINES
+from oracles import (
+    random_label_tree,
+    reference_level_structure,
+    reference_node_facts,
+    reference_pair_equivalences,
+    reference_saturate,
+    reference_simulating_strategy,
+    reference_verify_construction,
+    starts_generator_branch,
+)
 
 from atlir.cgs import validate_cgs
+from atlir.comptree import ComputationTree, OrderingNotTotal, level
 from atlir.reduction import (
     BR1,
     BR2,
     IDLE,
     OTHER,
+    RIGHTMOST_LABELS,
     ROOT,
     S_ERR,
     S_GEN,
@@ -19,6 +33,12 @@ from atlir.reduction import (
     S_TR2,
     TYPE1,
     IncompleteLevel,
+    _check_level_anatomy,
+    _check_level_structure,
+    _check_pair_equivalences,
+    _first_misordered,
+    _node_facts,
+    _precedes,
     build_cgs,
     classify_history,
     decode_level,
@@ -287,3 +307,193 @@ def test_blank_writing_zigzag_decodes_correctly():
     t = simulation_tree(rc, 11)
     decoded = ["".join(decode_level(rc, t, n)) for n in (3, 5, 7, 9, 11)]
     assert decoded == ["q0B", "xq1B", "xyq2B", "xq3y", "q4x"]
+
+
+def test_loop3_claims_hold_at_depth_101():
+    report = verify_construction(build_cgs(LOOP3), 101)
+    assert report.all_pass, report.failures()[:5]
+    assert report.checked_levels == 101
+    assert len(report.entries) == 1 + 13 * 101 + 100 + 50 + 49 == 1513
+
+
+# -- differential tests against the reference construction checks -------------
+
+
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
+def test_simulation_tree_matches_reference(name):
+    rc = build_cgs(SIX_MACHINES[name])
+    t = simulation_tree(rc, 41)
+    want = reference_saturate(rc.cgs, S_INIT, reference_simulating_strategy(rc), 41)
+    assert t == want
+    # the depth index and child lists that saturate hands over ready-made
+    assert t.max_depth == want.max_depth
+    for n in range(43):
+        assert t.nodes_at_depth(n) == want.nodes_at_depth(n)
+    assert all(t.children(v) == want.children(v) for v in want.nodes())
+
+
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
+def test_simulating_strategy_matches_reference_on_random_histories(name):
+    rc = build_cgs(SIX_MACHINES[name])
+    g = rc.cgs
+    team, ref = simulating_strategy(rc), reference_simulating_strategy(rc)
+    rng = random.Random(31)
+    states = sorted(g.states) + [S_GEN, S_TR] * 8
+    for _ in range(1500):
+        if rng.random() < 0.5:
+            # a spawn prefix, possibly broken, then a tail
+            h = [S_INIT] + [(S_GEN, S_TR)[k % 2] for k in range(rng.randint(0, 8))]
+        else:
+            h = []
+        tail = rng.randint(0 if h else 1, 9)
+        h = tuple(h + [rng.choice(states) for _ in range(tail)])
+        for i in (1, 2):
+            assert team.strategies[i].action(g, h) == ref.strategies[i].action(g, h), (i, h)
+
+
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
+def test_verify_construction_matches_reference(name):
+    rc = build_cgs(SIX_MACHINES[name])
+    for depth in range(3, 42):
+        got = verify_construction(rc, depth)
+        want = reference_verify_construction(rc, depth)
+        assert got.to_json() == want.to_json(), depth
+        assert got.checked_levels == want.checked_levels
+
+
+def _assert_facts_carried(g, t):
+    """Each node's carried facts agree with its whole history."""
+    facts = _node_facts(g, t, t.max_depth)
+    for n in range(t.max_depth + 1):
+        rows = []
+        for v in t.nodes_at_depth(n):
+            h, f = t.history(v), facts[v]
+            assert f.shape == classify_history(h), h
+            assert f.gen == starts_generator_branch(h), h
+            assert f.spawns == (h.count(S_GEN), h.count(S_TR)), h
+            rows.append(((f.key1, f.key2), (g.obs_key(1, h), g.obs_key(2, h))))
+        # ids are equal exactly when what they stand for is
+        for ids, whole in rows:
+            for ids2, whole2 in rows:
+                assert [a == b for a, b in zip(ids, ids2)] == [
+                    a == b for a, b in zip(whole, whole2)
+                ]
+
+
+# labels of the faulty trees: states of LOOP3's game, weighted to the
+# states that decide branch shapes
+FAULTY_LABELS = [S_INIT, S_LB, S_LB2, S_TR2, "s_B", "s_a", S_ERR] + [S_INIT2, S_GEN, S_TR] * 3
+
+
+def _faulty_trees(rc, rng):
+    """Random label trees rooted at s_init, and simulation trees with a
+    few nodes relabelled."""
+    base = simulation_tree(rc, 11)
+    nodes = sorted(base.nodes())
+    for _ in range(150):
+        t = random_label_tree(rng, FAULTY_LABELS, max_depth=5)
+        yield ComputationTree(S_INIT if rng.random() < 0.8 else t.root_label, t.labels())
+        labels = base.labels()
+        for v in rng.sample(nodes, rng.randint(1, 3)):
+            labels[v] = rng.choice(FAULTY_LABELS)
+        yield ComputationTree(labels[()], labels)
+
+
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
+def test_carried_facts_match_whole_histories(name):
+    rc = build_cgs(SIX_MACHINES[name])
+    _assert_facts_carried(rc.cgs, simulation_tree(rc, 41))
+
+
+def test_carried_facts_match_whole_histories_on_faulty_trees():
+    rc = build_cgs(LOOP3)
+    for t in _faulty_trees(rc, random.Random(41)):
+        _assert_facts_carried(rc.cgs, t)
+
+
+def test_claim_groups_1_and_2_match_reference_on_faulty_trees():
+    rc = build_cgs(LOOP3)
+    g = rc.cgs
+    failed = set()
+    for t in _faulty_trees(rc, random.Random(42)):
+        limit = t.max_depth
+        orders, order_fail = {}, {}
+        for n in range(limit + 1):
+            try:
+                orders[n] = level(t, n, RIGHTMOST_LABELS)
+            except OrderingNotTotal as exc:
+                order_fail[n] = str(exc)
+        got, want = [], []
+        facts = _node_facts(g, t, limit)
+        _check_pair_equivalences(t, facts, limit, got)
+        _check_level_structure(t, facts, orders, order_fail, limit, got)
+        ref = reference_node_facts(g, t, limit)
+        reference_pair_equivalences(t, ref, limit, want)
+        reference_level_structure(t, ref, orders, order_fail, limit, want)
+        assert [e.to_json() for e in got] == [e.to_json() for e in want]
+        # 2.4 on a level without a total order reports that, not a pair
+        failed.update(
+            e.subclaim for e in want if not e.passed and e.detail not in order_fail.values()
+        )
+    # every subclaim with a pair scan fails somewhere, but 1.1: a type-1
+    # history and a generator-branch one differ for agent 1 at step one
+    assert {"1.2", "1.3", "1.4", "2.4"} <= failed
+
+
+def test_first_misordered_matches_a_pair_scan():
+    # near-miss level orders: the right order with one position changed,
+    # two swapped or one repeated, and random shape lists
+    rng = random.Random(24)
+    pool = [ROOT, TYPE1, OTHER] + [type2_open(i) for i in range(1, 5)]
+    pool += [type2_closed(i) for i in range(1, 5)]
+    right = [TYPE1] + [f(i) for i in range(1, 5) for f in (type2_open, type2_closed)]
+    seen = set()
+    for _ in range(4000):
+        shapes = right[: rng.randint(0, len(right))]
+        roll = rng.random()
+        if shapes and roll < 0.3:
+            shapes[rng.randrange(len(shapes))] = rng.choice(pool)
+        elif len(shapes) > 1 and roll < 0.6:
+            a, b = rng.sample(range(len(shapes)), 2)
+            shapes[a], shapes[b] = shapes[b], shapes[a]
+        elif shapes and roll < 0.8:
+            k = rng.randrange(len(shapes))
+            shapes.insert(k, shapes[k])
+        elif roll >= 0.8:
+            shapes = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        want = next(
+            (
+                (a, b)
+                for a in range(len(shapes))
+                for b in range(a + 1, len(shapes))
+                if not _precedes(shapes[a], shapes[b]) or _precedes(shapes[b], shapes[a])
+            ),
+            None,
+        )
+        assert _first_misordered(shapes) == want, shapes
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_level_anatomy_flags_a_level_above_that_is_not_complete():
+    # level 1 holds three nodes, one too many, and level 2 is complete
+    # and totally ordered: the reference branch's cell, then the
+    # generator's two children
+    rc = build_cgs(LOOP3)
+    x, y, z = (IDLE, IDLE, "x"), (IDLE, IDLE, "y"), (IDLE, IDLE, "z")
+    t = ComputationTree(
+        S_INIT,
+        {
+            (x,): S_INIT2,
+            (y,): "s_a",
+            (z,): S_GEN,
+            (x, x): S_LB,
+            (z, x): "s_B",
+            (z, y): S_TR,
+        },
+    )
+    assert [t.label(v) for v in level(t, 2, RIGHTMOST_LABELS)] == [S_LB, "s_B", S_TR]
+    orders = {2: level(t, 2, RIGHTMOST_LABELS)}
+    entries = []
+    _check_level_anatomy(rc, t, _node_facts(rc.cgs, t, 2), orders, {}, {2}, entries)
+    assert [(e.subclaim, e.passed) for e in entries if e.claim == 3][0] == ("3.1", False)

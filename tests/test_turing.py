@@ -20,6 +20,8 @@ from atlir.turing import (
     split_configuration,
     step,
     tape,
+    tm_from_json,
+    tm_to_json,
     trajectory,
 )
 
@@ -152,3 +154,41 @@ def test_load_rejects_duplicate_rules(tmp_path):
     )
     with pytest.raises(MalformedMachine):
         load_tm(path)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (None, [], "the document must be an object, not list"),
+        ("states", "q0", "states must be a list, not str"),
+        ("alphabet", ["B", None], "alphabet holds None, which is not a string"),
+        ("blank", 0, "blank must be a string, not int"),
+        ("delta", {}, "delta must be a list, not dict"),
+        ("delta", [5], "delta row 5 must be a list, not int"),
+        ("delta", [["q0", "B", "q0", "B", ["R"]]], "holds ['R'], which is not a string"),
+        ("delta", None, "delta must be a list, not NoneType"),
+        ("q0", MISSING, "missing field 'q0'"),
+    ],
+)
+def test_load_rejects_mistyped_fields(field, value, message):
+    doc = tm_to_json(M5)
+    if field is None:
+        doc = value
+    elif value is MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
+    with pytest.raises(MalformedMachine, match=r"^malformed machine document: ") as info:
+        tm_from_json(doc)
+    assert str(info.value).endswith(message)
+
+
+def test_rule_rows_keep_their_validation_errors():
+    # well-typed rows that make no machine are not malformed documents
+    doc = tm_to_json(M5)
+    doc["delta"].append(["q0", "B", "q1", "a", "R", "x"])
+    with pytest.raises(MalformedMachine, match=r"^rule row .* must have 5 fields$"):
+        tm_from_json(doc)
