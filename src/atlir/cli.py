@@ -15,6 +15,7 @@ Verdict and report payloads are deterministic; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -258,8 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, not at import.
+
+    Nothing in it depends on ``argv``, and parsing does not change it, so
+    one build serves every call in the process.  The subcommand functions
+    are bound at that build.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _Failure as exc:

@@ -878,10 +878,12 @@ def _check_form_succession(forms, complete, limit, entries):
 
 def _check_decoding(rc, t, complete, order_fail, limit, entries):
     m = rc.machine
+    # claim 4.2 at level n decodes level n + 2, which claim 4.1 reads next
+    carried = (None, None)
     for n in sorted(complete):
         if n < 3 or n % 2 == 0 or n in order_fail:
             continue
-        word = decode_level(rc, t, n)
+        word = carried[1] if carried[0] == n else decode_level(rc, t, n)
         heads = [k for k, x in enumerate(word) if x in m.states]
         shape_ok = (
             len(heads) == 1
@@ -892,6 +894,7 @@ def _check_decoding(rc, t, complete, order_fail, limit, entries):
         if n + 2 in complete and n + 2 <= limit and (n + 2) not in order_fail:
             nxt = step(m, parse_configuration(m, word))
             got = decode_level(rc, t, n + 2)
+            carried = (n + 2, got)
             ok = isinstance(nxt, Configuration) and nxt.word == got
             entries.append(
                 ClaimEntry(

@@ -9,14 +9,21 @@ by level from the root, on every call, and the reference validator tests
 every transition row against the availability sets.  The reference
 construction checks rescan whole histories: the simulating strategy for
 its spawn positions, and the claim checks for branch shapes and for
-every pair of nodes on a level.
+every pair of nodes on a level; the decoding check decodes a level
+afresh for each claim that reads it.  The reference command line builds
+a new parser for every call.
 """
 
+import contextlib
+import io
 import itertools
 import random
+import re
+import sys
 from typing import NamedTuple
 
 from atlir.cgs import Cgs, History, Violation
+from atlir.cli import _Failure, build_parser
 from atlir.comptree import (
     ComputationTree,
     NodeId,
@@ -40,11 +47,11 @@ from atlir.reduction import (
     ClaimEntry,
     ClaimReport,
     HistoryType,
-    _check_decoding,
     _check_form_succession,
     _check_level_anatomy,
     _precedes,
     classify_history,
+    decode_level,
     type2_open,
 )
 from atlir.strategies import AgentStrategy, TeamStrategy, compatible_tuples, outcomes
@@ -865,7 +872,7 @@ def reference_verify_construction(rc, depth):
     complete = {n for n in range(1, limit + 1) if len(t.nodes_at_depth(n)) == n + 1}
     forms = _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries)
     _check_form_succession(forms, complete, limit, entries)
-    _check_decoding(rc, t, complete, order_fail, limit, entries)
+    reference_check_decoding(rc, t, complete, order_fail, limit, entries)
 
     return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
 
@@ -965,3 +972,58 @@ def reference_level_structure(t, facts, orders, order_fail, limit, entries):
                 break
         entries.append(ClaimEntry(2, "2.4", n, char_ok, detail))
         entries.append(ClaimEntry(2, "2.5", n, True, "total order"))
+
+
+def reference_check_decoding(rc, t, complete, order_fail, limit, entries):
+    m = rc.machine
+    for n in sorted(complete):
+        if n < 3 or n % 2 == 0 or n in order_fail:
+            continue
+        word = decode_level(rc, t, n)
+        heads = [k for k, x in enumerate(word) if x in m.states]
+        shape_ok = (
+            len(heads) == 1
+            and heads[0] < len(word) - 1
+            and all(x in m.alphabet for k, x in enumerate(word) if k != heads[0])
+        )
+        entries.append(ClaimEntry(4, "4.1", n, shape_ok, "".join(word)))
+        if n + 2 in complete and n + 2 <= limit and (n + 2) not in order_fail:
+            nxt = step(m, parse_configuration(m, word))
+            got = decode_level(rc, t, n + 2)
+            ok = isinstance(nxt, Configuration) and nxt.word == got
+            entries.append(
+                ClaimEntry(
+                    4,
+                    "4.2",
+                    n,
+                    ok,
+                    f"{''.join(word)} => {''.join(got)}"
+                    if ok
+                    else f"step({''.join(word)}) = "
+                    f"{''.join(nxt.word) if isinstance(nxt, Configuration) else nxt}"
+                    f", level {n + 2} decodes to {''.join(got)}",
+                )
+            )
+
+
+def reference_main(argv) -> int:
+    """``atlir.cli.main`` with a parser built for this call alone."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except _Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+
+
+def run_cli(main, argv) -> tuple:
+    """What a command-line call shows: its return code or ``SystemExit``
+    code, standard output and standard error.  The ``elapsed:`` time that
+    ``check`` prints is blanked, since it differs from run to run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ("return", main(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), re.sub(r"elapsed: [0-9.]+s", "elapsed: -", err.getvalue())

@@ -3,9 +3,12 @@ import json
 import pytest
 
 from machines import LBOUNCE, M5, M5_EXT, M_HALT
+from oracles import reference_main, run_cli
 
-from atlir.cgs import load_cgs
-from atlir.cli import main
+from atlir import cli
+from atlir.cgs import load_cgs, save_cgs
+from atlir.cli import build_parser, main
+from atlir.reduction import build_cgs
 from atlir.turing import save_tm, tm_to_json
 
 
@@ -400,3 +403,76 @@ def test_check_mistyped_structure_is_parse_error(tmp_path, capsys, field, value)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed game structure document: {field}")
+
+
+# -- the parser kept for the process --------------------------------------------
+
+
+def _corpus(tmp_path, m5_file, halt_file, ext_file):
+    """Argument lists covering argparse's errors and help, each command,
+    and each exit code."""
+    game = tmp_path / "halt.cgs.json"
+    save_cgs(build_cgs(M_HALT).cgs, game)
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps({"cgs": str(game), "state": "s_init", "formula": "<<1,2>> G ok", "bound": 3})
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(tm_to_json(M5), q0="q9")))
+    m5, game = str(m5_file), str(game)
+    check = ["check", game, "--state", "s_init", "--formula"]
+    return [
+        [],
+        ["frobnicate"],
+        ["-h"],
+        ["check", "-h"],
+        ["simulate", m5],
+        check + ["ok", "-b", "two"],
+        ["verify-claims", m5, "-d", "5", "--format", "xml"],
+        check + ["ok", "-b", "1", "--fast", "extra"],
+        ["check"],
+        check + ["ok", "-b", "1"],
+        check + ["<<1,2>> G ok", "-b", "6"],
+        ["check", m5, "--state", "s_init", "--formula", "ok", "-b", "1"],
+        ["check", "--job", str(job)],
+        ["check", "--job", str(tmp_path / "missing.json")],
+        ["reduce", m5],
+        ["reduce", str(bad)],
+        ["simulate", m5, "-d", "7", "--decode"],
+        ["simulate", m5, "-d", "7", "--decode", "--format", "dot"],
+        ["simulate", str(halt_file), "-d", "8", "--decode"],
+        ["verify-claims", m5, "-d", "7"],
+        ["verify-claims", str(ext_file), "-d", "5", "--format", "json"],
+    ]
+
+
+def test_main_matches_a_fresh_parser_per_call(tmp_path, m5_file, halt_file, ext_file):
+    corpus = _corpus(tmp_path, m5_file, halt_file, ext_file)
+    cli._parser.cache_clear()
+    codes = set()
+    for argv in corpus + corpus[::-1]:
+        got = run_cli(main, argv)
+        assert got == run_cli(reference_main, argv), argv
+        codes.add(got[0])
+    assert codes == {("exit", 0), ("exit", 2)} | {("return", c) for c in range(6)}
+
+
+def test_main_builds_its_parser_once(monkeypatch, m5_file):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    calls = [
+        ["verify-claims", str(m5_file), "-d", "3"],
+        ["simulate", str(m5_file), "-d", "3", "--decode"],
+        ["simulate", str(m5_file)],
+        ["-h"],
+        ["reduce", str(m5_file)],
+    ]
+    for k in range(50):
+        run_cli(main, calls[k % len(calls)])
+    assert len(builds) == 1

@@ -6,21 +6,25 @@ returns 1 exactly when it prints a ``False`` verdict.  Whatever the
 machine document, ``reduce``, ``simulate --decode`` and ``verify-claims``
 return an exit code in 0..5 without an uncaught exception, and
 ``verify-claims`` returns 1 exactly when its report has a failing entry.
+Whatever the command line, ``main`` shows the same bytes and codes as a
+parser built for that call alone.
 """
 
-import contextlib
-import io
 import json
 import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_cgs
+from machines import M5, M_HALT
+from oracles import random_cgs, reference_main, run_cli
 
-from atlir.cgs import cgs_to_json
+from atlir.cgs import cgs_to_json, save_cgs
 from atlir.cli import main
+from atlir.reduction import build_cgs
+from atlir.turing import save_tm
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
@@ -92,13 +96,6 @@ def calls(draw):
     return doc, job, state, formula, bound, rng.random() < 0.3
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=300, deadline=None)
 @given(calls())
 def test_check_keeps_the_exit_code_contract(call):
@@ -117,8 +114,8 @@ def test_check_keeps_the_exit_code_contract(call):
             argv = ["check", "--job", str(path)]
         if allow_invalid:
             argv.append("--allow-invalid")
-        code, out, err = run(argv)
-    assert code in range(6)
+        (kind, code), out, err = run_cli(main, argv)
+    assert kind == "return" and code in range(6)
     payload = json.loads(out) if out else None
     assert (code == 1) == (payload is not None and payload["verdict"] == "False")
     if code == 2:
@@ -170,8 +167,8 @@ def test_machine_commands_keep_the_exit_code_contract(call):
     with tempfile.TemporaryDirectory() as tmp:
         machine = Path(tmp, "machine.json")
         machine.write_text(json.dumps(doc))
-        code, out, err = run([command, str(machine)] + options)
-    assert code in range(6)
+        (kind, code), out, err = run_cli(main, [command, str(machine)] + options)
+    assert kind == "return" and code in range(6)
     if code in (2, 3):
         assert out == ""
         assert err.startswith("error: ")
@@ -184,3 +181,42 @@ def test_machine_commands_keep_the_exit_code_contract(call):
             rows = out.splitlines()[1:-1]
             failing = any(row.split()[3] == "FAIL" for row in rows)
         assert (code == 1) == failing
+
+
+COMMANDS = ("reduce", "simulate", "check", "verify-claims")
+OPTIONS = ("-d", "--depth", "--format", "--decode", "-b", "--bound", "--state", "--formula",
+           "--job", "--allow-invalid", "-h", "--help", "--")
+VALUES = ("<machine>", "<game>", "<job>", "<missing>", "0", "3", "5", "-1", "x", "json", "dot",
+          "table", "s_init", "ok", "<<1,2>> G ok", "")
+
+
+@st.composite
+def argvs(draw):
+    """A command line of subcommand names, option names and values.  The
+    placeholders in ``VALUES`` stand for files; ``-o`` is left out, so no
+    call writes a file."""
+    first = draw(st.sampled_from(COMMANDS) | st.sampled_from(OPTIONS + VALUES))
+    rest = draw(st.lists(st.sampled_from(COMMANDS + OPTIONS + VALUES), max_size=7))
+    return [first] + rest
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    files = {"<machine>": tmp / "m.json", "<game>": tmp / "g.json", "<job>": tmp / "job.json",
+             "<missing>": tmp / "missing.json"}
+    save_tm(M5, files["<machine>"])
+    save_cgs(build_cgs(M_HALT).cgs, files["<game>"])
+    files["<job>"].write_text(json.dumps(
+        {"cgs": str(files["<game>"]), "state": "s_init", "formula": "<<1,2>> G ok", "bound": 4}
+    ))
+    return {name: str(path) for name, path in files.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_any_command_line_matches_a_fresh_parser(cli_files, argv):
+    argv = [cli_files.get(token, token) for token in argv]
+    got = run_cli(main, argv)
+    assert got == run_cli(reference_main, argv)
+    assert got[0] in {("exit", 0), ("exit", 2)} | {("return", c) for c in range(6)}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from machines import FIVE_MACHINES, LOOP3, SIX_MACHINES
 from oracles import (
     random_label_tree,
+    reference_check_decoding,
     reference_level_structure,
     reference_node_facts,
     reference_pair_equivalences,
@@ -14,6 +17,7 @@ from oracles import (
     starts_generator_branch,
 )
 
+from atlir import reduction
 from atlir.cgs import validate_cgs
 from atlir.comptree import ComputationTree, OrderingNotTotal, level
 from atlir.reduction import (
@@ -33,6 +37,7 @@ from atlir.reduction import (
     S_TR2,
     TYPE1,
     IncompleteLevel,
+    _check_decoding,
     _check_level_anatomy,
     _check_level_structure,
     _check_pair_equivalences,
@@ -309,11 +314,22 @@ def test_blank_writing_zigzag_decodes_correctly():
     assert decoded == ["q0B", "xq1B", "xyq2B", "xq3y", "q4x"]
 
 
-def test_loop3_claims_hold_at_depth_101():
+def test_loop3_claims_hold_at_depth_101(monkeypatch):
+    decoded = []
+
+    def counted(rc, t, n):
+        decoded.append(n)
+        return decode_level(rc, t, n)
+
+    monkeypatch.setattr(reduction, "decode_level", counted)
     report = verify_construction(build_cgs(LOOP3), 101)
     assert report.all_pass, report.failures()[:5]
     assert report.checked_levels == 101
     assert len(report.entries) == 1 + 13 * 101 + 100 + 50 + 49 == 1513
+    # each odd level 3..101 is decoded once, for claims 4.1 and 4.2 alike
+    assert decoded == list(range(3, 102, 2))
+    digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+    assert digest == "3476e0fd21194491ff32b32fd516dcf79d0d46de8c4cd90c19583302a26ccd16"
 
 
 # -- differential tests against the reference construction checks -------------
@@ -359,6 +375,26 @@ def test_verify_construction_matches_reference(name):
         want = reference_verify_construction(rc, depth)
         assert got.to_json() == want.to_json(), depth
         assert got.checked_levels == want.checked_levels
+
+
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
+def test_decoding_matches_reference_with_gaps_in_the_levels(name):
+    """Claim group 4 against the reference when complete levels are
+    missing, misordered or past the limit."""
+    rc = build_cgs(SIX_MACHINES[name])
+    t = simulation_tree(rc, 21)
+    # levels from the error state on encode no configuration
+    safe = next((n - 1 for n in range(22) if S_ERR in map(t.label, t.nodes_at_depth(n))), 21)
+    full = {n for n in range(1, safe + 1) if len(t.nodes_at_depth(n)) == n + 1}
+    rng = random.Random(name)
+    for _ in range(40):
+        complete = {n for n in full if rng.random() < 0.8}
+        order_fail = {n: "misordered" for n in full if rng.random() < 0.15}
+        limit = rng.randint(3, safe)
+        got, want = [], []
+        _check_decoding(rc, t, complete, order_fail, limit, got)
+        reference_check_decoding(rc, t, complete, order_fail, limit, want)
+        assert got == want, (complete, sorted(order_fail), limit)
 
 
 def _assert_facts_carried(g, t):
