@@ -1,9 +1,13 @@
 """Computation trees grown one (node, joint action) extension at a time.
 
-Nodes are identified structurally by the sequence of edge labels from
-the root, so a node id is a tuple of joint actions and the tree is a
-mapping from node ids to state labels.  This gives canonical equality:
-two trees built by the same extensions in any order are equal values.
+A node is a dense integer id.  Ids run level by level from the root's
+0, and within a level in the sorted order of the nodes' paths, the
+sequences of joint actions on the edges from the root.  So the ids, and
+every export numbered by them, are a function of the tree alone: two
+trees built by the same extensions in any order are equal values, with
+equal ids.  ``path`` and ``node`` convert between a node's id and its
+path; the constructor and ``labels`` take and give the mapping from
+paths to state labels.
 
 Levels can be ordered left-to-right.  The ordering is generated by two
 rules: nodes carrying a designated "rightmost" label sort after every
@@ -14,13 +18,15 @@ ordering query raises instead of inventing a tie-break.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import AbstractSet, Iterable, Mapping
 
 from .cgs import Cgs, History, JointAction, successor
 from .strategies import TeamStrategy, compatible_in_order, compatible_tuples
 
-NodeId = tuple[JointAction, ...]
+NodeId = int
+Path = tuple[JointAction, ...]
 
 
 class TreeError(Exception):
@@ -44,9 +50,13 @@ class OrderingNotTotal(TreeError):
 
 
 class ComputationTree:
-    """An immutable rooted tree of states with joint-action edge labels."""
+    """An immutable rooted tree of states with joint-action edge labels.
 
-    def __init__(self, root_label: str, labels: Mapping[NodeId, str] | None = None):
+    The root is node 0.  Every method that takes a node raises
+    :class:`TreeError` for a value that is not a node id of this tree.
+    """
+
+    def __init__(self, root_label: str, labels: Mapping[Path, str] | None = None):
         lab = {(): root_label}
         if labels:
             lab.update(labels)
@@ -54,76 +64,138 @@ class ComputationTree:
         for v in lab:
             if v and v[:-1] not in lab:
                 raise TreeError(f"node {v!r} has no parent in the tree")
-        by_depth: dict[int, list[NodeId]] = {}
-        for v in sorted(lab):
-            by_depth.setdefault(len(v), []).append(v)
-        self._index(lab, by_depth)
+        paths = sorted(lab, key=lambda v: (len(v), v))
+        ids = {v: i for i, v in enumerate(paths)}
+        starts = [0]
+        for i, v in enumerate(paths):
+            if len(v) == len(starts):
+                starts.append(i)
+        starts.append(len(paths))
+        self._index(
+            [ids[v[:-1]] if v else -1 for v in paths],
+            [v[-1] if v else None for v in paths],
+            [lab[v] for v in paths],
+            starts,
+        )
 
     @classmethod
-    def _from_levels(
-        cls, labels: dict[NodeId, str], levels: list[list[NodeId]]
+    def _from_arrays(
+        cls,
+        parent: list[NodeId],
+        action: list[JointAction | None],
+        label: list[str],
+        starts: list[int],
     ) -> ComputationTree:
-        """The tree of ``labels``, whose levels 0, 1, .. are ``levels``, each
-        already in sorted order and none empty."""
+        """The tree whose node ``v`` hangs below ``parent[v]`` by the edge
+        ``action[v]`` and carries ``label[v]``; level ``n`` holds the ids
+        from ``starts[n]`` up to ``starts[n + 1]``.  The ids must already
+        run in the order of the module docstring."""
         t = cls.__new__(cls)
-        t._index(labels, dict(enumerate(levels)))
+        t._index(parent, action, label, starts)
         return t
 
-    def _index(self, labels: dict[NodeId, str], by_depth: dict[int, list[NodeId]]) -> None:
-        self._labels = labels
-        self._by_depth = by_depth
-        self._children: dict[NodeId, list[NodeId]] = {v: [] for v in labels}
-        # levels are sorted, so each child list comes out sorted
-        for n in range(1, len(by_depth)):
-            for v in by_depth[n]:
-                self._children[v[:-1]].append(v)
+    def _index(self, parent, action, label, starts) -> None:
+        self._parent = parent
+        self._action = action
+        self._label = label
+        self._starts = starts
+        # Parents never decrease along the ids, so the children of v are
+        # the ids from first_child[v] up to first_child[v + 1].
+        first_child, c = [], 1
+        for v in range(len(parent) + 1):
+            first_child.append(c)
+            while c < len(parent) and parent[c] == v:
+                c += 1
+        self._first_child = first_child
         # per last_labels: the bit rows of levels 0, 1, .. (see _level_relation)
         self._order_cache: dict[frozenset[str], list[list[int]]] = {}
 
+    def _check(self, v) -> NodeId:
+        if v in self:
+            return v
+        raise TreeError(f"node {v!r} not in the tree")
+
     @property
     def root_label(self) -> str:
-        return self._labels[()]
+        return self._label[0]
 
     @property
     def max_depth(self) -> int:
-        return max(self._by_depth)
+        return len(self._starts) - 2
 
     def nodes(self) -> Iterable[NodeId]:
-        return self._labels.keys()
+        return range(len(self._label))
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._label)
 
-    def __contains__(self, v: NodeId) -> bool:
-        return tuple(v) in self._labels
+    def __contains__(self, v) -> bool:
+        # a bool is an int to Python, but not a node
+        return type(v) is int and 0 <= v < len(self._label)
 
     def label(self, v: NodeId) -> str:
-        try:
-            return self._labels[tuple(v)]
-        except KeyError:
-            raise TreeError(f"node {v!r} not in the tree") from None
+        # the test of __contains__, inlined: labels are read once per node
+        if type(v) is int and 0 <= v < len(self._label):
+            return self._label[v]
+        raise TreeError(f"node {v!r} not in the tree")
 
-    def labels(self) -> Mapping[NodeId, str]:
-        return dict(self._labels)
+    def labels(self) -> Mapping[Path, str]:
+        """The tree as a mapping from each node's path to its label."""
+        paths: list[Path] = [()]
+        for a, p in zip(self._action[1:], self._parent[1:]):
+            paths.append(paths[p] + (a,))
+        return dict(zip(paths, self._label))
+
+    def path(self, v: NodeId) -> Path:
+        """The joint actions on the edges from the root down to ``v``."""
+        v = self._check(v)
+        out = []
+        while v:
+            out.append(self._action[v])
+            v = self._parent[v]
+        return tuple(reversed(out))
+
+    def node(self, path: Path) -> NodeId:
+        """The node reached from the root along ``path``."""
+        v = 0
+        for a in path:
+            lo, hi = self._first_child[v], self._first_child[v + 1]
+            # a node's children run in the order of their edge labels
+            v = bisect.bisect_left(self._action, a, lo, hi)
+            if v == hi or self._action[v] != a:
+                raise TreeError(f"path {tuple(path)!r} not in the tree")
+        return v
 
     def children(self, v: NodeId) -> list[NodeId]:
-        return list(self._children.get(tuple(v), ()))
+        v = self._check(v)
+        return list(range(self._first_child[v], self._first_child[v + 1]))
 
     def nodes_at_depth(self, n: int) -> list[NodeId]:
-        return list(self._by_depth.get(n, ()))
+        if not 0 <= n <= self.max_depth:
+            return []
+        return list(range(self._starts[n], self._starts[n + 1]))
 
     def history(self, v: NodeId) -> History:
         """State labels along the path from the root to ``v``, inclusive."""
-        v = tuple(v)
-        return tuple(self._labels[v[:k]] for k in range(len(v) + 1))
+        v = self._check(v)
+        out = [self._label[v]]
+        while v:
+            v = self._parent[v]
+            out.append(self._label[v])
+        return tuple(reversed(out))
 
     def __eq__(self, other):
         if not isinstance(other, ComputationTree):
             return NotImplemented
-        return self._labels == other._labels
+        # ids are canonical, so equal arrays mean equal path-to-label maps
+        return (self._label, self._parent, self._action) == (
+            other._label,
+            other._parent,
+            other._action,
+        )
 
     def __repr__(self):
-        return f"ComputationTree({self.root_label!r}, {len(self._labels)} nodes)"
+        return f"ComputationTree({self.root_label!r}, {len(self._label)} nodes)"
 
 
 def single_node(s: str) -> ComputationTree:
@@ -137,23 +209,20 @@ def extend(
 
     The action must be compatible with the team strategy on the path to
     ``v``, must lead somewhere, and must not duplicate an existing edge
-    label at ``v``.
+    label at ``v``.  Ids of ``t`` name the same nodes in the new tree up
+    to ``v``'s depth; deeper ones may shift, as ids follow path order.
     """
-    v = tuple(v)
     a = tuple(a)
-    if v not in t:
-        raise TreeError(f"node {v!r} not in the tree")
-    child = v + (a,)
-    if child in t:
-        raise DuplicateAction(f"node {v!r} already has an edge labeled {a!r}")
     h = t.history(v)
+    if any(t._action[c] == a for c in t.children(v)):
+        raise DuplicateAction(f"node {v!r} already has an edge labeled {a!r}")
     if a not in compatible_tuples(g, team, h):
         raise IncompatibleAction(f"{a!r} is not compatible with the team strategy at {v!r}")
-    s2 = successor(g, t.label(v), a)
+    s2 = successor(g, h[-1], a)
     if s2 is None:
-        raise UndefinedSuccessor(f"no transition from {t.label(v)!r} under {a!r}")
+        raise UndefinedSuccessor(f"no transition from {h[-1]!r} under {a!r}")
     labels = t.labels()
-    labels[child] = s2
+    labels[t.path(v) + (a,)] = s2
     return ComputationTree(t.root_label, labels)
 
 
@@ -166,14 +235,16 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
     The joint actions at a node are those of :func:`compatible_tuples`:
     each member's choice on the node's history, every available action
     of the others.  They are generated in sorted order, so each level
-    comes out sorted and is handed to the tree as its depth index.
+    comes out in path order and its nodes take their ids as they come.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     g.check_state(s)
-    labels: dict[NodeId, str] = {(): s}
-    levels: list[list[NodeId]] = [[()]]
-    frontier: list[tuple[NodeId, History]] = [((), (s,))]
+    parent: list[NodeId] = [-1]
+    action: list[JointAction | None] = [None]
+    label = [s]
+    starts = [0, 1]
+    frontier: list[tuple[NodeId, History]] = [(0, (s,))]
     for _ in range(depth):
         nxt: list[tuple[NodeId, History]] = []
         for v, h in frontier:
@@ -182,14 +253,15 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
                 s2 = g.delta.get((last, a))
                 if s2 is None:
                     continue
-                child = v + (a,)
-                labels[child] = s2
-                nxt.append((child, h + (s2,)))
+                nxt.append((len(label), h + (s2,)))
+                parent.append(v)
+                action.append(a)
+                label.append(s2)
         if not nxt:
             break
-        levels.append([v for v, _ in nxt])
+        starts.append(len(label))
         frontier = nxt
-    return ComputationTree._from_levels(labels, levels)
+    return ComputationTree._from_arrays(parent, action, label, starts)
 
 
 def is_complete_level(t: ComputationTree, n: int) -> bool:
@@ -197,6 +269,19 @@ def is_complete_level(t: ComputationTree, n: int) -> bool:
     if n < 0:
         raise ValueError("level index must be non-negative")
     return len(t.nodes_at_depth(n)) == n + 1
+
+
+def _is_total(rows: list[int]) -> bool:
+    """Whether transitively closed rows are a strict total order.
+
+    With no node preceding itself they form a strict partial order,
+    which is total exactly when it holds all L*(L-1)/2 pairs of its L
+    nodes.
+    """
+    size = len(rows)
+    return not any(row >> i & 1 for i, row in enumerate(rows)) and (
+        sum(map(int.bit_count, rows)) == size * (size - 1) // 2
+    )
 
 
 def _level_relation(
@@ -210,35 +295,64 @@ def _level_relation(
     cached on the tree.  Base edges: every node precedes each other node
     whose label is in ``last_labels``, and a node whose parent precedes
     a different parent precedes all of that parent's children.
+
+    Under a totally ordered level the closed rows come in closed form
+    from the parents' ranks.  Let C(r) be the children of the parents
+    ranked after r, L the nodes with a last label, and m the lowest rank
+    of their parents.  A node whose parent ranks r reaches C(r) by
+    inheritance, and from there only nodes of L and children of parents
+    ranked higher still.  Once it reaches a node of L it reaches all of
+    L and C(m).  It reaches a node of L unless it is L's only node and
+    C(r) is empty.  Under any other level the base edges are closed by
+    Warshall's algorithm.
     """
     rels = t._order_cache.setdefault(last_labels, [[0]])
     for k in range(len(rels), n + 1):
-        above = t._by_depth[k - 1]
-        parent_pos = {v: i for i, v in enumerate(above)}
-        nodes = t._by_depth[k]
-        parents = [parent_pos[v[:-1]] for v in nodes]
+        above = rels[k - 1]
+        lo, hi = t._starts[k], t._starts[k + 1]
+        parents = [p - t._starts[k - 1] for p in t._parent[lo:hi]]
         child_mask = [0] * len(above)
         last_mask = 0
-        for j, (v, p) in enumerate(zip(nodes, parents)):
+        for j, (p, s) in enumerate(zip(parents, t._label[lo:hi])):
             child_mask[p] |= 1 << j
-            if t._labels[v] in last_labels:
+            if s in last_labels:
                 last_mask |= 1 << j
-        inherited = []
-        for p, row in enumerate(rels[k - 1]):
-            row &= ~(1 << p)
-            got = 0
-            while row:
-                low = row & -row
-                got |= child_mask[low.bit_length() - 1]
-                row ^= low
-            inherited.append(got)
-        rows = [(last_mask & ~(1 << j)) | inherited[p] for j, p in enumerate(parents)]
-        # Warshall: for each j, OR row j into each row that has bit j set
-        for j, row_j in enumerate(rows):
-            bit = 1 << j
-            for i, row in enumerate(rows):
-                if row & bit:
-                    rows[i] = row | row_j
+        if _is_total(above):
+            # a parent's rank is its count of predecessors
+            rank = [len(above) - 1 - row.bit_count() for row in above]
+            by_rank = [0] * len(above)
+            for p, r in enumerate(rank):
+                by_rank[r] = child_mask[p]
+            later, acc = [0] * len(above), 0  # later[r] is C(r)
+            for r in range(len(above) - 1, -1, -1):
+                later[r] = acc
+                acc |= by_rank[r]
+            via_last = 0
+            if last_mask:
+                m = min(rank[p] for j, p in enumerate(parents) if last_mask >> j & 1)
+                via_last = last_mask | later[m]
+            rows = []
+            for j, p in enumerate(parents):
+                inherited = later[rank[p]]
+                alone = last_mask == 1 << j and not inherited
+                rows.append(0 if alone else inherited | via_last)
+        else:
+            inherited = []
+            for p, row in enumerate(above):
+                row &= ~(1 << p)
+                got = 0
+                while row:
+                    low = row & -row
+                    got |= child_mask[low.bit_length() - 1]
+                    row ^= low
+                inherited.append(got)
+            rows = [(last_mask & ~(1 << j)) | inherited[p] for j, p in enumerate(parents)]
+            # Warshall: for each j, OR row j into each row that has bit j set
+            for j, row_j in enumerate(rows):
+                bit = 1 << j
+                for i, row in enumerate(rows):
+                    if row & bit:
+                        rows[i] = row | row_j
         rels.append(rows)
     return rels[n]
 
@@ -260,13 +374,9 @@ def level(
         return nodes
     rows = _level_relation(t, frozenset(last_labels), n)
     size = len(nodes)
-    # The rows are transitively closed, so with no node preceding itself
-    # they form a strict partial order, which is total exactly when it
-    # holds all size*(size-1)/2 pairs.  Only a failing level is scanned
-    # pair by pair, to name the first pair left unordered.
-    if any(row >> i & 1 for i, row in enumerate(rows)) or (
-        sum(map(int.bit_count, rows)) != size * (size - 1) // 2
-    ):
+    # Only a failing level is scanned pair by pair, to name the first
+    # pair left unordered.
+    if not _is_total(rows):
         for (i, v), (j, w) in itertools.combinations(enumerate(nodes), 2):
             fwd, bwd = rows[i] >> j & 1, rows[j] >> i & 1
             if fwd and bwd:
@@ -280,7 +390,7 @@ def level(
                     f"are incomparable"
                 )
     # in a total order, a node with k successors has size-1-k predecessors
-    ordered = [()] * size
+    ordered = [0] * size
     for v, row in zip(nodes, rows):
         ordered[size - 1 - row.bit_count()] = v
     return ordered
@@ -291,15 +401,14 @@ def level(
 
 def to_dot(g: Cgs, t: ComputationTree) -> str:
     """GraphViz rendering: nodes as ``state | props``, edges as tuples."""
-    ids = {v: f"n{k}" for k, v in enumerate(sorted(t.nodes(), key=lambda v: (len(v), v)))}
     lines = ["digraph computation_tree {", "  rankdir=TB;"]
-    for v, name in ids.items():
+    for v in t.nodes():
         props = ",".join(sorted(g.label.get(t.label(v), ()))) or "-"
-        lines.append(f'  {name} [label="{t.label(v)} | {props}"];')
-    for v, name in ids.items():
+        lines.append(f'  n{v} [label="{t.label(v)} | {props}"];')
+    for v in t.nodes():
         for c in t.children(v):
-            tup = "(" + ",".join(c[-1]) + ")"
-            lines.append(f'  {name} -> {ids[c]} [label="{tup}"];')
+            tup = "(" + ",".join(t._action[c]) + ")"
+            lines.append(f'  n{v} -> n{c} [label="{tup}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cgs import Cgs, History
-from .comptree import ComputationTree, NodeId, OrderingNotTotal, level, saturate
+from .comptree import ComputationTree, OrderingNotTotal, level, saturate
 from .strategies import AgentStrategy, TeamStrategy
 from .turing import (
     LEFT,
@@ -643,30 +643,32 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
 
 
-def _node_facts(g: Cgs, t: ComputationTree, limit: int) -> dict[NodeId, _NodeFacts]:
-    """The facts of every node down to depth ``limit``, each from its parent's."""
-    facts: dict[NodeId, _NodeFacts] = {}
+def _node_facts(g: Cgs, t: ComputationTree, limit: int) -> list[_NodeFacts | None]:
+    """The facts of every node down to depth ``limit``, each from its
+    parent's, indexed by node id; deeper nodes get None."""
+    facts: list[_NodeFacts | None] = [None] * len(t)
     # key ids: the id of a parent's key extended by one block
     ids: dict[tuple[int, int], int] = {}
-    for n in range(limit + 1):
-        for v in t.nodes_at_depth(n):
-            s = t.label(v)
-            if v:
-                up = facts[v[:-1]]
-                shape = _next_shape(up.shape, t.label(v[:-1]), s)
-            else:
-                # the empty history's facts, with -1 for its key ids
-                up = _NodeFacts(None, -1, -1, False, (0, 0))
-                shape = _next_shape(None, None, s)
-            gens, trs = up.spawns
-            facts[v] = _NodeFacts(
-                shape,
-                # observation keys are pointwise, so each extends its parent's
-                ids.setdefault((up.key1, g.block_of(1, s)), len(ids)),
-                ids.setdefault((up.key2, g.block_of(2, s)), len(ids)),
-                up.gen or (up.shape == ROOT and s == S_GEN),
-                (gens + (s == S_GEN), trs + (s == S_TR)),
-            )
+
+    def extended(up: _NodeFacts, up_label: str | None, v: int) -> _NodeFacts:
+        s = t.label(v)
+        gens, trs = up.spawns
+        return _NodeFacts(
+            _next_shape(up.shape, up_label, s),
+            # observation keys are pointwise, so each extends its parent's
+            ids.setdefault((up.key1, g.block_of(1, s)), len(ids)),
+            ids.setdefault((up.key2, g.block_of(2, s)), len(ids)),
+            up.gen or (up.shape == ROOT and s == S_GEN),
+            (gens + (s == S_GEN), trs + (s == S_TR)),
+        )
+
+    # the empty history's facts, with -1 for its key ids
+    facts[0] = extended(_NodeFacts(None, -1, -1, False, (0, 0)), None, 0)
+    for n in range(limit):
+        for u in t.nodes_at_depth(n):
+            up, up_label = facts[u], t.label(u)
+            for v in t.children(u):
+                facts[v] = extended(up, up_label, v)
     return facts
 
 

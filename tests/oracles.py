@@ -26,8 +26,8 @@ from atlir.cgs import Cgs, History, Violation
 from atlir.cli import _Failure, build_parser
 from atlir.comptree import (
     ComputationTree,
-    NodeId,
     OrderingNotTotal,
+    Path,
     extend,
     level,
     single_node,
@@ -468,7 +468,7 @@ def check_box_atomic(g: Cgs, s: str, team, p: str, bound: int) -> Verdict:
                 h = grown.history(v)
                 for a in sorted(compatible_tuples(g, team_strategy, h)):
                     grown = extend(g, team_strategy, grown, v, a)
-                    t = grown.label(v + (a,))
+                    t = grown.label(grown.node(grown.path(v) + (a,)))
                     if p not in g.label[t]:
                         bad = list(h) + [t]
                         break
@@ -492,7 +492,9 @@ def check_box_atomic(g: Cgs, s: str, team, p: str, bound: int) -> Verdict:
 # The left-to-right order as first written: each level's relation is a
 # set of node pairs, closed by a fixpoint, and every query rebuilds the
 # relations of all levels above it.  atlir.comptree.level must return
-# the same list or raise OrderingNotTotal with the same message.
+# the same list or raise OrderingNotTotal with the same message, and
+# atlir.comptree._level_relation the same bit rows as the Warshall
+# closure it used on every level before its closed form.
 
 
 def _transitive_closure(pairs: set, items: list) -> set:
@@ -512,14 +514,51 @@ def _orderings(t: ComputationTree, last_labels, upto: int) -> dict[int, set]:
     rels: dict[int, set] = {0: set()}
     for n in range(1, upto + 1):
         nodes = t.nodes_at_depth(n)
+        up = {v: t.node(t.path(v)[:-1]) for v in nodes}
         rel: set = set()
         prev = rels[n - 1]
         for v, w in itertools.permutations(nodes, 2):
             if t.label(w) in last_labels:
                 rel.add((v, w))
-            if v[:-1] != w[:-1] and (v[:-1], w[:-1]) in prev:
+            if up[v] != up[w] and (up[v], up[w]) in prev:
                 rel.add((v, w))
         rels[n] = _transitive_closure(rel, nodes)
+    return rels
+
+
+def reference_level_relation(t: ComputationTree, last_labels: frozenset, n: int) -> list:
+    """The closed bit rows of levels 0..n, as ``atlir.comptree._level_relation``
+    built them before its closed form: every level's base edges closed by
+    Warshall's algorithm, afresh on every call."""
+    rels = [[0]]
+    for k in range(len(rels), n + 1):
+        above = t.nodes_at_depth(k - 1)
+        parent_pos = {t.path(v): i for i, v in enumerate(above)}
+        nodes = t.nodes_at_depth(k)
+        parents = [parent_pos[t.path(v)[:-1]] for v in nodes]
+        child_mask = [0] * len(above)
+        last_mask = 0
+        for j, (v, p) in enumerate(zip(nodes, parents)):
+            child_mask[p] |= 1 << j
+            if t.label(v) in last_labels:
+                last_mask |= 1 << j
+        inherited = []
+        for p, row in enumerate(rels[k - 1]):
+            row &= ~(1 << p)
+            got = 0
+            while row:
+                low = row & -row
+                got |= child_mask[low.bit_length() - 1]
+                row ^= low
+            inherited.append(got)
+        rows = [(last_mask & ~(1 << j)) | inherited[p] for j, p in enumerate(parents)]
+        # Warshall: for each j, OR row j into each row that has bit j set
+        for j, row_j in enumerate(rows):
+            bit = 1 << j
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | row_j
+        rels.append(rows)
     return rels
 
 
@@ -757,11 +796,11 @@ def reference_saturate(g, s, team, depth):
     if depth < 0:
         raise ValueError("depth must be non-negative")
     g.check_state(s)
-    labels: dict[NodeId, str] = {(): s}
-    histories: dict[NodeId, History] = {(): (s,)}
-    frontier: list[NodeId] = [()]
+    labels: dict[Path, str] = {(): s}
+    histories: dict[Path, History] = {(): (s,)}
+    frontier: list[Path] = [()]
     for _ in range(depth):
-        nxt: list[NodeId] = []
+        nxt: list[Path] = []
         for v in frontier:
             h = histories[v]
             for a in sorted(compatible_tuples(g, team, h)):
@@ -796,11 +835,12 @@ class _ReferenceFacts(NamedTuple):
 
 
 def reference_node_facts(g, t, limit):
-    facts: dict[NodeId, _ReferenceFacts] = {}
+    facts: dict[int, _ReferenceFacts] = {}
     for n in range(limit + 1):
         for v in t.nodes_at_depth(n):
             s = t.label(v)
-            up = facts[v[:-1]] if v else _ReferenceFacts((), ROOT, (), ())
+            path = t.path(v)
+            up = facts[t.node(path[:-1])] if path else _ReferenceFacts((), ROOT, (), ())
             h = up.history + (s,)
             # observation keys are pointwise, so each extends its parent's
             facts[v] = _ReferenceFacts(

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from machines import SIX_MACHINES
-from oracles import random_label_tree, reference_level
+from oracles import random_label_tree, reference_level, reference_level_relation
 
 from atlir.cgs import Cgs
 from atlir.comptree import (
     DuplicateAction,
     IncompatibleAction,
     OrderingNotTotal,
+    TreeError,
     UndefinedSuccessor,
+    _level_relation,
     extend,
     is_complete_level,
     level,
@@ -37,23 +39,23 @@ from atlir.strategies import AgentStrategy, TeamStrategy
 def test_extend_adds_leaf(rc5):
     team = simulating_strategy(rc5)
     t = single_node(S_INIT)
-    t2 = extend(rc5.cgs, team, t, (), (IDLE, IDLE, BR2))
-    assert t2.label(((IDLE, IDLE, BR2),)) == S_GEN
+    t2 = extend(rc5.cgs, team, t, t.node(()), (IDLE, IDLE, BR2))
+    assert t2.label(t2.node(((IDLE, IDLE, BR2),))) == S_GEN
     assert len(t2) == 2
     assert len(t) == 1  # persistent value, original untouched
 
 
 def test_extend_duplicate_action(rc5):
     team = simulating_strategy(rc5)
-    t = extend(rc5.cgs, team, single_node(S_INIT), (), (IDLE, IDLE, BR2))
+    t = extend(rc5.cgs, team, single_node(S_INIT), 0, (IDLE, IDLE, BR2))
     with pytest.raises(DuplicateAction):
-        extend(rc5.cgs, team, t, (), (IDLE, IDLE, BR2))
+        extend(rc5.cgs, team, t, t.node(()), (IDLE, IDLE, BR2))
 
 
 def test_extend_incompatible_action(rc5):
     team = simulating_strategy(rc5)
     with pytest.raises(IncompatibleAction):
-        extend(rc5.cgs, team, single_node(S_INIT), (), (rc5.init_action, IDLE, BR1))
+        extend(rc5.cgs, team, single_node(S_INIT), 0, (rc5.init_action, IDLE, BR1))
 
 
 def test_extend_undefined_successor():
@@ -70,7 +72,7 @@ def test_extend_undefined_successor():
     )
     team = TeamStrategy.of(AgentStrategy.from_procedure(1, lambda h: "b"))
     with pytest.raises(UndefinedSuccessor):
-        extend(g, team, single_node("x"), (), ("b",))
+        extend(g, team, single_node("x"), 0, ("b",))
 
 
 def test_extend_head_step(rc5):
@@ -80,7 +82,30 @@ def test_extend_head_step(rc5):
     leaf = next(v for v in t.nodes_at_depth(3) if t.label(v) == "s_q0,B")
     act = (rc5.move_actions[("q0", "q1", "R")], IDLE, IDLE)
     t2 = extend(rc5.cgs, team, t, leaf, act)
-    assert t2.label(leaf + (act,)) == "s_a"
+    assert t2.label(t2.node(t.path(leaf) + (act,))) == "s_a"
+
+
+@pytest.mark.parametrize("method", ["label", "children", "history", "path"])
+def test_node_methods_reject_values_that_are_not_nodes(rc5, method):
+    t = simulation_tree(rc5, 3)
+    for bad in (-1, len(t), True, False, 1.0, "0", None, ()):
+        assert bad not in t
+        with pytest.raises(TreeError, match=r"^node .* not in the tree$"):
+            getattr(t, method)(bad)
+    getattr(t, method)(len(t) - 1)
+
+
+def test_path_and_node_are_inverse(rc5):
+    t = simulation_tree(rc5, 7)
+    paths = t.labels()
+    assert [t.path(v) for v in t.nodes()] == sorted(paths, key=lambda p: (len(p), p))
+    for v in t.nodes():
+        assert t.node(t.path(v)) == v
+        assert paths[t.path(v)] == t.label(v)
+        assert [t.path(c)[:-1] for c in t.children(v)] == [t.path(v)] * len(t.children(v))
+    for missing in (((IDLE, IDLE, IDLE),), t.path(len(t) - 1) + ((IDLE, IDLE, IDLE),)):
+        with pytest.raises(TreeError, match=r"^path .* not in the tree$"):
+            t.node(missing)
 
 
 def test_saturate_depth_zero(rc5):
@@ -165,12 +190,12 @@ def test_confluence_random_extension_order(rc5):
                 continue
             from atlir.strategies import compatible_tuples
 
-            tuples = sorted(compatible_tuples(g, team, t.history(v)))
+            tuples = sorted(compatible_tuples(g, team, t.history(t.node(v))))
             rng.shuffle(tuples)
             for a in tuples:
-                if g.delta.get((t.label(v), a)) is None:
+                if g.delta.get((t.label(t.node(v)), a)) is None:
                     continue
-                t = extend(g, team, t, v, a)
+                t = extend(g, team, t, t.node(v), a)
                 pending.append(v + (a,))
         assert t == want
 
@@ -179,16 +204,18 @@ def test_trees_embed_in_saturation(rc5):
     g = rc5.cgs
     team = simulating_strategy(rc5)
     big = simulation_tree(rc5, 5)
+    big_labels = big.labels()
     t = single_node(S_INIT)
     from atlir.strategies import compatible_tuples
 
-    for v in list(big.nodes()):
+    for v in list(big_labels):
         if len(v) < 3:
-            for a in sorted(compatible_tuples(g, team, big.history(v)))[:1]:
+            for a in sorted(compatible_tuples(g, team, big.history(big.node(v))))[:1]:
                 child = v + (a,)
-                if child in big and child not in t and v in t:
-                    t = extend(g, team, t, v, a)
-    assert all(v in big and big.label(v) == t.label(v) for v in t.nodes())
+                here = t.labels()
+                if child in big_labels and child not in here and v in here:
+                    t = extend(g, team, t, t.node(v), a)
+    assert all(v in big_labels and big_labels[v] == x for v, x in t.labels().items())
 
 
 def test_dot_export(rc5):
@@ -240,3 +267,39 @@ def test_level_matches_reference_on_random_trees():
         last_labels = frozenset(rng.sample("abcd", rng.randint(0, 2)))
         _assert_levels_match(t, last_labels, seen)
     assert seen == {"total", "incomparable", "ordered both ways"}
+
+
+def _assert_relations_match(t, last_labels, seen):
+    """Equal closed rows at every level; ``seen`` collects (level above
+    total, level total) for levels of two or more nodes."""
+    want = reference_level_relation(t, last_labels, t.max_depth)
+    for n, rows in enumerate(want):
+        assert _level_relation(t, last_labels, n) == rows, (n, last_labels)
+        if n and len(rows) >= 2:
+            seen.add((_total(want[n - 1]), _total(rows)))
+
+
+def _total(rows):
+    size = len(rows)
+    return not any(row >> i & 1 for i, row in enumerate(rows)) and (
+        sum(map(int.bit_count, rows)) == size * (size - 1) // 2
+    )
+
+
+def test_level_relation_matches_warshall_on_simulation_trees():
+    seen = set()
+    for name in sorted(SIX_MACHINES):
+        t = simulation_tree(build_cgs(SIX_MACHINES[name]), 41)
+        for last_labels in (RIGHTMOST_LABELS, frozenset(), frozenset({S_GEN}), frozenset({S_TR2})):
+            _assert_relations_match(t, last_labels, seen)
+    assert (True, True) in seen and (True, False) in seen
+
+
+def test_level_relation_matches_warshall_on_random_trees():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(2000):
+        t = random_label_tree(rng, "abcd", max_depth=4)
+        last_labels = frozenset(rng.sample("abcd", rng.randint(0, 2)))
+        _assert_relations_match(t, last_labels, seen)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

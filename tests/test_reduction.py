@@ -332,6 +332,13 @@ def test_loop3_claims_hold_at_depth_101(monkeypatch):
     assert digest == "3476e0fd21194491ff32b32fd516dcf79d0d46de8c4cd90c19583302a26ccd16"
 
 
+def test_loop3_claims_hold_at_depth_201():
+    report = verify_construction(build_cgs(LOOP3), 201)
+    assert sum(e.passed for e in report.entries) == len(report.entries) == 3013
+    digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+    assert digest == "90b584faf68e147c479a44e87f7d0664707fddd5a0f59b336ce566a8b33e92e2"
+
+
 # -- differential tests against the reference construction checks -------------
 
 
@@ -425,12 +432,12 @@ def _faulty_trees(rc, rng):
     """Random label trees rooted at s_init, and simulation trees with a
     few nodes relabelled."""
     base = simulation_tree(rc, 11)
-    nodes = sorted(base.nodes())
+    paths = sorted(base.labels())
     for _ in range(150):
         t = random_label_tree(rng, FAULTY_LABELS, max_depth=5)
         yield ComputationTree(S_INIT if rng.random() < 0.8 else t.root_label, t.labels())
         labels = base.labels()
-        for v in rng.sample(nodes, rng.randint(1, 3)):
+        for v in rng.sample(paths, rng.randint(1, 3)):
             labels[v] = rng.choice(FAULTY_LABELS)
         yield ComputationTree(labels[()], labels)
 
