@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
 * 0: success (for ``check``: verdict True)
 * 1: verdict False
-* 2: parse error, malformed input, or bad bound/depth
+* 2: parse error, malformed input, bad bound/depth, or an output file
+  that cannot be written
 * 3: machine validation failure
 * 4: simulation reached the error state
 * 5: verdict Unknown
@@ -20,20 +21,20 @@ import json
 import sys
 import time
 
-from .cgs import CgsError, cgs_to_json, load_cgs, save_cgs
-from .comptree import levels_to_json, to_dot
+from .cgs import CgsError, cgs_to_json, load_cgs
+from .comptree import is_complete_level, levels_to_json, to_dot
 from .formulas import FormulaSyntaxError, parse_formula
 from .mc import BoundTooSmall, Truth, check
 from .reduction import (
     RIGHTMOST_LABELS,
-    S_ERR,
     ReductionCgs,
     build_cgs,
     decode_level,
+    error_level,
     simulation_tree,
     verify_construction,
 )
-from .turing import MalformedMachine, load_tm
+from .turing import MachineDocumentError, MalformedMachine, load_tm
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -44,36 +45,58 @@ EXIT_UNKNOWN = 5
 
 
 class _Failure(Exception):
+    """An error exit: ``main`` prints the message and returns the code."""
+
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
 
 
-def _load_machine(path) -> ReductionCgs:
-    """The compiled game of the machine file at ``path``."""
+def _read(path, load, rejected: dict, unreadable):
+    """``load(path)``, failing on a missing file, on errors of the types in
+    ``unreadable`` (the file cannot be read), and on errors of the types that
+    ``rejected`` maps to exit codes, where the first type that matches decides."""
     try:
-        return build_cgs(load_tm(path))
+        return load(path)
     except FileNotFoundError:
         raise _Failure(EXIT_PARSE, f"no such file: {path}") from None
+    except tuple(rejected) as exc:
+        code = next(code for kind, code in rejected.items() if isinstance(exc, kind))
+        raise _Failure(code, str(exc)) from exc
+    except unreadable as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _Failure(EXIT_PARSE, f"cannot read {path}: {reason}") from None
+
+
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc.strerror or exc}") from None
-    except MalformedMachine as exc:
-        # unreadable documents are parse errors; machines that parse but
-        # fail validation are rejected with their own code
-        if "not valid JSON" in str(exc) or "malformed machine document" in str(exc):
-            raise _Failure(EXIT_PARSE, str(exc)) from exc
-        raise _Failure(EXIT_BAD_MACHINE, str(exc)) from exc
+        raise _Failure(EXIT_PARSE, f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _load_machine(path) -> ReductionCgs:
+    """The compiled game of the machine file at ``path``."""
+    # unreadable documents are parse errors; machines that parse but
+    # fail validation are rejected with their own code
+    return _read(
+        path,
+        lambda p: build_cgs(load_tm(p)),
+        {MachineDocumentError: EXIT_PARSE, MalformedMachine: EXIT_BAD_MACHINE},
+        OSError,
+    )
 
 
 def cmd_reduce(args) -> int:
     rc = _load_machine(args.machine)
     for warning in rc.lint:
         print(f"warning: {warning}", file=sys.stderr)
+    out = json.dumps(cgs_to_json(rc.cgs), indent=2) + "\n"
     if args.output:
-        save_cgs(rc.cgs, args.output)
+        _write(args.output, out)
     else:
-        json.dump(cgs_to_json(rc.cgs), sys.stdout, indent=2)
-        print()
+        sys.stdout.write(out)
     print(f"states: {len(rc.cgs.states)}")
     print(f"actions: {len(rc.cgs.actions)}")
     print(f"transitions: {len(rc.cgs.delta)}")
@@ -83,31 +106,22 @@ def cmd_reduce(args) -> int:
 def cmd_simulate(args) -> int:
     rc = _load_machine(args.machine)
     if args.depth < 0:
-        print("error: depth must be non-negative", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Failure(EXIT_PARSE, "depth must be non-negative")
     t = simulation_tree(rc, args.depth)
     if args.format == "dot":
         out = to_dot(rc.cgs, t)
     else:
         out = json.dumps({"levels": levels_to_json(t, RIGHTMOST_LABELS)}, indent=2) + "\n"
-    err_level = next(
-        (
-            n
-            for n in range(args.depth + 1)
-            if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n))
-        ),
-        None,
-    )
+    err_level = error_level(t)
     decoded = []
     if args.decode:
         # levels from the error state on encode no configuration
         stop = args.depth + 1 if err_level is None else err_level
         for n in range(3, stop, 2):
-            if len(t.nodes_at_depth(n)) == n + 1:
+            if is_complete_level(t, n):
                 decoded.append((n, "".join(decode_level(rc, t, n))))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write(args.output, out)
         prefix = ""
     else:
         sys.stdout.write(out)
@@ -146,40 +160,27 @@ def _read_job(path) -> tuple:
 def cmd_check(args) -> int:
     if args.job:
         cgs_path, state, formula_text, bound = _read_job(args.job)
-    else:
-        if not (args.cgs and args.state and args.formula and args.bound is not None):
-            print(
-                "error: need a game structure, --state, --formula and --bound "
-                "(or a --job file)",
-                file=sys.stderr,
-            )
-            return EXIT_PARSE
+    elif args.cgs and args.state and args.formula and args.bound is not None:
         cgs_path, state, formula_text, bound = args.cgs, args.state, args.formula, args.bound
-    try:
-        g = load_cgs(cgs_path, allow_invalid=args.allow_invalid)
-    except FileNotFoundError:
-        print(f"error: no such file: {cgs_path}", file=sys.stderr)
-        return EXIT_PARSE
-    except CgsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, ValueError) as exc:
+    else:
+        raise _Failure(
+            EXIT_PARSE,
+            "need a game structure, --state, --formula and --bound (or a --job file)",
+        )
+    g = _read(
+        cgs_path,
+        functools.partial(load_cgs, allow_invalid=args.allow_invalid),
+        {CgsError: EXIT_PARSE},
         # a directory, an unreadable file, or a name no file can have (a
         # job file's path may hold a NUL character)
-        reason = getattr(exc, "strerror", None) or exc
-        print(f"error: cannot read {cgs_path}: {reason}", file=sys.stderr)
-        return EXIT_PARSE
+        (OSError, ValueError),
+    )
     try:
         f = parse_formula(formula_text)
-    except FormulaSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         verdict = check(g, state, f, bound)
-    except (BoundTooSmall, CgsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (FormulaSyntaxError, BoundTooSmall, CgsError) as exc:
+        raise _Failure(EXIT_PARSE, str(exc)) from exc
     elapsed = time.perf_counter() - started
     print(json.dumps(verdict.to_json(), indent=2))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -193,8 +194,7 @@ def cmd_check(args) -> int:
 def cmd_verify_claims(args) -> int:
     rc = _load_machine(args.machine)
     if args.depth < 3:
-        print("error: depth must be at least 3", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Failure(EXIT_PARSE, "depth must be at least 3")
     report = verify_construction(rc, args.depth)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))

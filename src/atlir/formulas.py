@@ -71,79 +71,60 @@ class And(Formula):
     right: Formula
 
 
-def _coerce_agents(agents) -> frozenset[int]:
-    got = frozenset(int(a) for a in agents)
-    if not got:
-        raise ValueError("coalition must be non-empty")
-    if any(a < 1 for a in got):
-        raise ValueError("agents are numbered from 1")
-    return got
+class _Coalition(Formula):
+    """A coalition modality; its ``agents`` are coerced to a non-empty
+    frozenset of agent numbers from 1."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        agents = frozenset(int(a) for a in self.agents)
+        if not agents:
+            raise ValueError("coalition must be non-empty")
+        if any(a < 1 for a in agents):
+            raise ValueError("agents are numbered from 1")
+        object.__setattr__(self, "agents", agents)
 
 
 @dataclass(frozen=True)
-class Next(Formula):
+class Next(_Coalition):
     agents: frozenset[int]
     operand: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "agents", _coerce_agents(self.agents))
-
 
 @dataclass(frozen=True)
-class Globally(Formula):
+class Globally(_Coalition):
     agents: frozenset[int]
     operand: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "agents", _coerce_agents(self.agents))
-
 
 @dataclass(frozen=True)
-class Until(Formula):
+class Until(_Coalition):
     agents: frozenset[int]
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "agents", _coerce_agents(self.agents))
+
+def _subformulas(f: Formula):
+    """Every subformula of ``f``, ``f`` included."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Until)):
+            stack.extend((node.left, node.right))
+        elif isinstance(node, (Not, Next, Globally)):
+            stack.append(node.operand)
 
 
 def atoms(f: Formula) -> set[str]:
     """All atomic proposition names occurring in a formula."""
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, And):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Next, Globally)):
-            stack.append(node.operand)
-        elif isinstance(node, Until):
-            stack.extend((node.left, node.right))
-    return out
+    return {node.name for node in _subformulas(f) if isinstance(node, Atom)}
 
 
 def coalitions(f: Formula) -> set[frozenset[int]]:
     """All coalition agent sets occurring in a formula."""
-    out: set[frozenset[int]] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, And):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Next, Globally)):
-            out.add(node.agents)
-            stack.append(node.operand)
-        elif isinstance(node, Until):
-            out.add(node.agents)
-            stack.extend((node.left, node.right))
-    return out
+    return {node.agents for node in _subformulas(f) if isinstance(node, _Coalition)}
 
 
 # -- parsing -----------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cgs import Cgs, History
-from .comptree import ComputationTree, OrderingNotTotal, level, saturate
+from .comptree import ComputationTree, OrderingNotTotal, is_complete_level, level, saturate
 from .strategies import AgentStrategy, TeamStrategy
 from .turing import (
     LEFT,
@@ -47,6 +47,7 @@ from .turing import (
     TuringMachine,
     head_cell,
     lint_initial_state_reentry,
+    minimal_word,
     parse_configuration,
     split_configuration,
     step,
@@ -288,37 +289,12 @@ def classify_history(h: History) -> HistoryType:
     they follow the branch of separator i.  The single-state root
     history and everything unmatched are reported apart.
     """
-    h = tuple(h)
-    if not h:
+    c = last = None
+    for s in h:
+        c, last = _next_shape(c, last, s), s
+    if c is None:
         raise ValueError("histories must be non-empty")
-    if h == (S_INIT,):
-        return ROOT
-    if h[0] != S_INIT:
-        return OTHER
-    if h[1] == S_INIT2:
-        return TYPE1
-    if h[1] != S_GEN:
-        return OTHER
-    gens = 0
-    trs = 0
-    pos = 1
-    while pos < len(h):
-        want = S_GEN if pos % 2 == 1 else S_TR
-        if h[pos] != want:
-            break
-        if want == S_GEN:
-            gens += 1
-        else:
-            trs += 1
-        pos += 1
-    rest = h[pos:]
-    if any(s in (S_GEN, S_TR) for s in rest):
-        return OTHER
-    if gens == trs + 1:
-        return type2_open(gens)
-    if gens == trs and gens >= 1:
-        return type2_closed(gens)
-    return OTHER
+    return c
 
 
 def _next_shape(c: HistoryType | None, last: str | None, s: str) -> HistoryType:
@@ -446,6 +422,14 @@ def simulation_tree(rc: ReductionCgs, depth: int) -> ComputationTree:
     return saturate(rc.cgs, S_INIT, simulating_strategy(rc), depth)
 
 
+def error_level(t: ComputationTree) -> int | None:
+    """The first level of ``t`` that holds an ``s_err`` node, or None."""
+    for n in range(t.max_depth + 1):
+        if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n)):
+            return n
+    return None
+
+
 def horizon(depth: int) -> int:
     """Machine steps that a depth-``depth`` tree keeps honest.
 
@@ -480,7 +464,7 @@ def decode_level(rc: ReductionCgs, t: ComputationTree, n: int) -> tuple[str, ...
     stripped, so the odd levels of a simulation decode to exactly the
     machine's configurations.
     """
-    if len(t.nodes_at_depth(n)) != n + 1:
+    if not is_complete_level(t, n):
         raise IncompleteLevel(
             f"level {n} has {len(t.nodes_at_depth(n))} nodes, needs {n + 1}"
         )
@@ -488,13 +472,8 @@ def decode_level(rc: ReductionCgs, t: ComputationTree, n: int) -> tuple[str, ...
     word: list[str] = []
     for v in ordered:
         word.extend(_image(rc, t.label(v)))
-    heads = [k for k, x in enumerate(word) if x in rc.machine.states]
-    if len(heads) == 1:
-        keep = heads[0] + 2  # never strip the scanned cell
-        end = len(word)
-        while end > keep and word[end - 1] == rc.machine.blank:
-            end -= 1
-        word = word[:end]
+    if sum(x in rc.machine.states for x in word) == 1:
+        return minimal_word(rc.machine, tuple(word))
     return tuple(word)
 
 
@@ -605,11 +584,7 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     t = simulation_tree(rc, depth)
     entries: list[ClaimEntry] = []
 
-    err_level = None
-    for n in range(depth + 1):
-        if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n)):
-            err_level = n
-            break
+    err_level = error_level(t)
     limit = depth if err_level is None else err_level - 1
     entries.append(
         ClaimEntry(
@@ -635,7 +610,7 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
 
     _check_pair_equivalences(t, facts, limit, entries)
     _check_level_structure(t, facts, orders, order_fail, limit, entries)
-    complete = {n for n in range(1, limit + 1) if len(t.nodes_at_depth(n)) == n + 1}
+    complete = {n for n in range(1, limit + 1) if is_complete_level(t, n)}
     forms = _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries)
     _check_form_succession(forms, complete, limit, entries)
     _check_decoding(rc, t, complete, order_fail, limit, entries)

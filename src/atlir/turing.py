@@ -32,6 +32,10 @@ class MalformedMachine(ValueError):
     pass
 
 
+class MachineDocumentError(MalformedMachine):
+    """A machine file that is not JSON, or a document of the wrong shape."""
+
+
 class MalformedConfiguration(ValueError):
     pass
 
@@ -140,10 +144,6 @@ def head_cell(m: TuringMachine, c: Configuration) -> int:
     return len(left) + 1
 
 
-def config_state(m: TuringMachine, c: Configuration) -> str:
-    return split_configuration(m, c)[1]
-
-
 def tape(m: TuringMachine, c: Configuration) -> tuple[str, ...]:
     left, _, right = split_configuration(m, c)
     return left + right
@@ -155,7 +155,9 @@ def parse_configuration(m: TuringMachine, word) -> Configuration:
     return c
 
 
-def _normalize(m: TuringMachine, word: tuple[str, ...]) -> tuple[str, ...]:
+def minimal_word(m: TuringMachine, word: tuple[str, ...]) -> tuple[str, ...]:
+    """``word`` without the blanks right of both its head's cell and its
+    last non-blank cell; the word must hold a state symbol."""
     head = next(k for k, x in enumerate(word) if x in m.states)
     end = len(word)
     while end > head + 2 and word[end - 1] == m.blank:
@@ -178,7 +180,7 @@ def step(m: TuringMachine, c: Configuration):
     else:
         rest = right[1:] if len(right) > 1 else (m.blank,)
         word = left + (written, q2) + rest
-    return Configuration(_normalize(m, word))
+    return Configuration(minimal_word(m, word))
 
 
 def run(m: TuringMachine, n: int):
@@ -229,8 +231,8 @@ def tm_to_json(m: TuringMachine) -> dict:
     }
 
 
-def _malformed(what: str) -> MalformedMachine:
-    return MalformedMachine(f"malformed machine document: {what}")
+def _malformed(what: str) -> MachineDocumentError:
+    return MachineDocumentError(f"malformed machine document: {what}")
 
 
 def _strings(value, field: str, *at) -> list[str]:
@@ -253,10 +255,10 @@ def _string(value, field: str) -> str:
 def tm_from_json(doc: Mapping) -> TuringMachine:
     """Build a machine from its JSON document, in one pass over it.
 
-    Raises :class:`MalformedMachine` naming the field when the document
-    is not an object, a key is missing or a value has the wrong type
-    (the message then starts ``malformed machine document``), and when
-    the fields are well typed but do not make a machine.
+    Raises :class:`MachineDocumentError` naming the field when the
+    document is not an object, a key is missing or a value has the wrong
+    type, and plain :class:`MalformedMachine` when the fields are well
+    typed but do not make a machine.
     """
     if not isinstance(doc, Mapping):
         raise _malformed(f"the document must be an object, not {type(doc).__name__}")
@@ -294,5 +296,5 @@ def load_tm(path) -> TuringMachine:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:
             # undecodable bytes and over-deep nesting are not valid JSON either
-            raise MalformedMachine(f"not valid JSON: {exc}") from exc
+            raise MachineDocumentError(f"not valid JSON: {exc}") from exc
     return tm_from_json(doc)

@@ -36,6 +36,7 @@ from atlir.formulas import And, Atom, Globally, Next, Not, Until
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, Verdict
 from atlir.reduction import (
     IDLE,
+    OTHER,
     P1,
     P2,
     RIGHTMOST_LABELS,
@@ -43,15 +44,17 @@ from atlir.reduction import (
     S_ERR,
     S_GEN,
     S_INIT,
+    S_INIT2,
     S_TR,
+    TYPE1,
     ClaimEntry,
     ClaimReport,
     HistoryType,
     _check_form_succession,
     _check_level_anatomy,
     _precedes,
-    classify_history,
     decode_level,
+    type2_closed,
     type2_open,
 )
 from atlir.strategies import AgentStrategy, TeamStrategy, compatible_tuples, outcomes
@@ -695,7 +698,7 @@ def reference_validate(g: Cgs) -> list[Violation]:
 # atlir.reduction's simulation tree and claim checks as first written:
 # the simulating strategy lists each history's proposition positions,
 # saturation goes through compatible_tuples and sorts, every node's
-# branch shape is classify_history of its whole history, and claims 1
+# branch shape is reference_classify_history of its whole history, and claims 1
 # and 2.4 test every pair of nodes on a level.  The library must build
 # equal trees and report the same entries.
 
@@ -820,6 +823,48 @@ def starts_generator_branch(h: History) -> bool:
     return len(h) >= 2 and h[0] == S_INIT and h[1] == S_GEN
 
 
+def reference_classify_history(h: History) -> HistoryType:
+    """Which branch shape a history has, from one walk over all of it.
+
+    ``type1`` histories enter the reference branch.  ``type2_open(i)``
+    histories saw i cell spawns and i-1 separator spawns: they follow
+    the branch of cell i.  ``type2_closed(i)`` histories saw i of each:
+    they follow the branch of separator i.  The single-state root
+    history and everything unmatched are reported apart.
+    """
+    h = tuple(h)
+    if not h:
+        raise ValueError("histories must be non-empty")
+    if h == (S_INIT,):
+        return ROOT
+    if h[0] != S_INIT:
+        return OTHER
+    if h[1] == S_INIT2:
+        return TYPE1
+    if h[1] != S_GEN:
+        return OTHER
+    gens = 0
+    trs = 0
+    pos = 1
+    while pos < len(h):
+        want = S_GEN if pos % 2 == 1 else S_TR
+        if h[pos] != want:
+            break
+        if want == S_GEN:
+            gens += 1
+        else:
+            trs += 1
+        pos += 1
+    rest = h[pos:]
+    if any(s in (S_GEN, S_TR) for s in rest):
+        return OTHER
+    if gens == trs + 1:
+        return type2_open(gens)
+    if gens == trs and gens >= 1:
+        return type2_closed(gens)
+    return OTHER
+
+
 class _ReferenceFacts(NamedTuple):
     """What the claim groups read of one tree node, computed once.
 
@@ -845,7 +890,7 @@ def reference_node_facts(g, t, limit):
             # observation keys are pointwise, so each extends its parent's
             facts[v] = _ReferenceFacts(
                 h,
-                classify_history(h),
+                reference_classify_history(h),
                 up.key1 + (g.block_of(1, s),),
                 up.key2 + (g.block_of(2, s),),
             )

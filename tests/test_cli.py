@@ -281,6 +281,50 @@ def test_mistyped_machine_is_parse_error(tmp_path, capsys, command, field, value
 
 
 @pytest.mark.parametrize("command", MACHINE_COMMANDS)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # validation errors whose text quotes a parse error's phrase
+        (
+            "delta",
+            [["not valid JSON", "B", "q0", "B", "R"]],
+            "rule for undeclared pair ('not valid JSON', 'B')",
+        ),
+        (
+            "q0",
+            "malformed machine document",
+            "initial state 'malformed machine document' not declared",
+        ),
+    ],
+)
+def test_validation_message_naming_a_parse_error_exits_3(
+    tmp_path, capsys, command, field, value, message
+):
+    doc = tm_to_json(M5)
+    doc[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path)] + command[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["simulate", "-d", "3"]])
+def test_unwritable_output_is_parse_error(tmp_path, capsys, m5_file, command):
+    for target, reason in (
+        (tmp_path / "missing" / "out.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        argv = [command[0], str(m5_file)] + command[1:] + ["-o", str(target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", MACHINE_COMMANDS)
 def test_machine_symbol_named_like_a_construction_state(tmp_path, capsys, command):
     # the cell state of symbol "gen" would be the generator state s_gen
     doc = tm_to_json(M5)

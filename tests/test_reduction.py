@@ -8,6 +8,7 @@ from machines import FIVE_MACHINES, LOOP3, SIX_MACHINES
 from oracles import (
     random_label_tree,
     reference_check_decoding,
+    reference_classify_history,
     reference_level_structure,
     reference_node_facts,
     reference_pair_equivalences,
@@ -129,6 +130,57 @@ def test_classify_history():
     assert classify_history((S_INIT, S_LB)) == OTHER
     # a spawn state in the tail disqualifies the refined shapes
     assert classify_history((S_INIT, S_GEN, "s_B", S_GEN)) == OTHER
+
+
+def test_classify_history_matches_reference_on_simulation_trees():
+    seen = set()
+    for m in SIX_MACHINES.values():
+        t = simulation_tree(build_cgs(m), 21)
+        for v in t.nodes():
+            h = t.history(v)
+            assert classify_history(h) == reference_classify_history(h), h
+            seen.add(classify_history(h).kind)
+    # simulation trees grow only the shapes the construction predicts
+    assert seen == {"root", "type1", "type2_open", "type2_closed"}
+
+
+def _random_state_sequences(rng, states, count):
+    """State sequences that start at s_init or elsewhere, may enter the
+    reference branch, then run an alternating spawn prefix that is broken
+    at a random place half the time, and end in a random tail."""
+    breakers = (S_GEN, S_TR, S_TR2, S_LB2)
+    for _ in range(count):
+        h = [S_INIT if rng.random() < 0.8 else rng.choice(states)]
+        if rng.random() < 0.15:
+            h.append(S_INIT2)
+        spawns = [(S_GEN, S_TR)[k % 2] for k in range(rng.randint(0, 9))]
+        if spawns and rng.random() < 0.5:
+            spawns[rng.randrange(len(spawns))] = rng.choice(breakers)
+        tail = [rng.choice(states) for _ in range(rng.randint(0, 3))]
+        yield tuple(h + spawns + tail)
+
+
+def test_classify_history_matches_reference_on_random_sequences():
+    states = list(build_cgs(LOOP3).cgs.states)
+    rng = random.Random(2000)
+    kinds = []
+    for h in _random_state_sequences(rng, states, 2000):
+        assert classify_history(h) == reference_classify_history(h), h
+        kinds.append((h[0] == S_INIT, classify_history(h).kind))
+    # every shape is met, from s_init and elsewhere
+    assert {k for start, k in kinds if start} == {
+        "root",
+        "type1",
+        "type2_open",
+        "type2_closed",
+        "other",
+    }
+    assert any(not start for start, _ in kinds)
+    for bad in ((), []):
+        with pytest.raises(ValueError):
+            classify_history(bad)
+        with pytest.raises(ValueError):
+            reference_classify_history(bad)
 
 
 def test_strategy_setup_clauses(rc5):
@@ -411,7 +463,7 @@ def _assert_facts_carried(g, t):
         rows = []
         for v in t.nodes_at_depth(n):
             h, f = t.history(v), facts[v]
-            assert f.shape == classify_history(h), h
+            assert f.shape == reference_classify_history(h), h
             assert f.gen == starts_generator_branch(h), h
             assert f.spawns == (h.count(S_GEN), h.count(S_TR)), h
             rows.append(((f.key1, f.key2), (g.obs_key(1, h), g.obs_key(2, h))))

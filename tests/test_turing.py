@@ -2,10 +2,12 @@ import pytest
 
 from machines import LBOUNCE, LOOP3, M5, M5_EXT, M_HALT, RIGHT2
 
+from atlir.reduction import build_cgs
 from atlir.turing import (
     Configuration,
     Halted,
     HaltedAt,
+    MachineDocumentError,
     MalformedConfiguration,
     MalformedMachine,
     TuringMachine,
@@ -192,3 +194,35 @@ def test_rule_rows_keep_their_validation_errors():
     doc["delta"].append(["q0", "B", "q1", "a", "R", "x"])
     with pytest.raises(MalformedMachine, match=r"^rule row .* must have 5 fields$"):
         tm_from_json(doc)
+
+
+def test_document_errors_have_their_own_type(tmp_path):
+    # a machine file's shape errors and its JSON errors are one type, so a
+    # caller tells them from validation errors without reading messages
+    for doc in ([], {**tm_to_json(M5), "states": 5}, {**tm_to_json(M5), "q0": ["q0"]}):
+        with pytest.raises(MachineDocumentError):
+            tm_from_json(doc)
+    path = tmp_path / "m.json"
+    path.write_text("{not json")
+    with pytest.raises(MachineDocumentError, match=r"^not valid JSON: "):
+        load_tm(path)
+
+
+def _validation_error(make) -> MalformedMachine:
+    with pytest.raises(MalformedMachine) as info:
+        make()
+    return info.value
+
+
+def test_validation_errors_are_plain_malformed_machine():
+    doc = tm_to_json(M5)
+    doc["delta"].append(["q0", "B", "q1", "a", "R", "x"])
+    clash = TuringMachine({"q0"}, {"B", "gen"}, "q0", "B", {})
+    for make in (
+        lambda: TuringMachine({"q0"}, {"B"}, "q9", "B", {}),
+        lambda: TuringMachine({"q0"}, {"B"}, "q0", "B", {("q0", "B"): ("q0", "B", "X")}),
+        lambda: tm_from_json(doc),
+        lambda: tm_from_json({**tm_to_json(M5), "q0": "malformed machine document"}),
+        lambda: build_cgs(clash),
+    ):
+        assert type(_validation_error(make)) is MalformedMachine
