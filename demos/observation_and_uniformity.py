@@ -8,7 +8,8 @@ branch to another.
 
 from atlir.cgs import obs_equiv_histories, obs_equiv_states
 from atlir.reduction import S_GEN, S_INIT, build_cgs, simulating_strategy
-from atlir.strategies import is_uniform, outcomes
+from atlir.comptree import outcomes
+from atlir.strategies import is_uniform
 from atlir.turing import TuringMachine
 
 machine = TuringMachine(

@@ -37,6 +37,7 @@ from .comptree import (
     is_complete_level,
     level,
     levels_to_json,
+    outcomes,
     saturate,
     single_node,
     to_dot,
@@ -80,10 +81,10 @@ from .strategies import (
     StrategyError,
     StrategyUndefined,
     TeamStrategy,
-    compatible_tuples,
+    compatible_in_order,
     is_uniform,
-    outcomes,
     table_dump,
+    table_rows,
 )
 from .turing import (
     Configuration,

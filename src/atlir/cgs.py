@@ -11,8 +11,8 @@ The transition map ``delta`` is an explicit finite dictionary from
 defined exactly on the joint actions whose components are available to
 every agent at the source state.
 
-Structures are immutable after construction and safe to share between
-workers; every operation in this module is a pure function of its inputs.
+Structures are immutable after construction; every operation in this
+module is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -464,13 +464,6 @@ def _per_agent(value, field: str) -> dict:
     return out
 
 
-def _string_lists(values) -> bool:
-    """Whether every value is a list of strings, tested in bulk."""
-    return set(map(type, values)) <= {list} and set(
-        map(type, itertools.chain.from_iterable(values))
-    ) <= {str}
-
-
 def cgs_from_json(doc: Mapping) -> Cgs:
     """Build a structure from its JSON document, in one pass over it.
 
@@ -478,8 +471,7 @@ def cgs_from_json(doc: Mapping) -> Cgs:
     value has the wrong type, or two ``delta`` rows share a state and a
     joint action.  Names in ``delta`` rows are checked by the
     constructor against the declared states and actions, which are
-    strings by then.  Nested lists are tested in bulk; only a document
-    that fails is walked value by value, to name the first bad one.
+    strings by then.
     """
     _object(doc, "the document")
     try:
@@ -488,19 +480,16 @@ def cgs_from_json(doc: Mapping) -> Cgs:
         props = _strings(doc["props"], "props")
         actions = _strings(doc["actions"], "actions")
         label = _object(doc["label"], "label")
-        if not _string_lists(label.values()):
-            for s, ps in label.items():
-                _strings(ps, "label of {!r}", s)
+        for s, ps in label.items():
+            _strings(ps, "label of {!r}", s)
         obs = _per_agent(doc["obs"], "obs")
         for i, blocks in obs.items():
-            if not _string_lists(_list(blocks, "obs of agent {}", i)):
-                for b in blocks:
-                    _strings(b, "obs block of agent {}", i)
+            for b in _list(blocks, "obs of agent {}", i):
+                _strings(b, "obs block of agent {}", i)
         avail = _per_agent(doc["avail"], "avail")
         for i, per in avail.items():
-            if not _string_lists(_object(per, "avail of agent {}", i).values()):
-                for s, acts in per.items():
-                    _strings(acts, "avail of agent {} at {!r}", i, s)
+            for s, acts in _object(per, "avail of agent {}", i).items():
+                _strings(acts, "avail of agent {} at {!r}", i, s)
         rows = _list(doc["delta"], "delta")
     except KeyError as exc:
         raise _malformed(f"missing field {exc}") from None

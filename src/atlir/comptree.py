@@ -23,7 +23,7 @@ import itertools
 from typing import AbstractSet, Iterable, Mapping
 
 from .cgs import Cgs, History, JointAction, successor
-from .strategies import TeamStrategy, compatible_in_order, compatible_tuples
+from .strategies import TeamStrategy, compatible_in_order
 
 NodeId = int
 Path = tuple[JointAction, ...]
@@ -216,7 +216,7 @@ def extend(
     h = t.history(v)
     if any(t._action[c] == a for c in t.children(v)):
         raise DuplicateAction(f"node {v!r} already has an edge labeled {a!r}")
-    if a not in compatible_tuples(g, team, h):
+    if a not in compatible_in_order(g, team, h):
         raise IncompatibleAction(f"{a!r} is not compatible with the team strategy at {v!r}")
     s2 = successor(g, h[-1], a)
     if s2 is None:
@@ -232,7 +232,7 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
     Extensions at distinct (node, action) pairs commute, so the result
     does not depend on the order in which they are applied.
 
-    The joint actions at a node are those of :func:`compatible_tuples`:
+    The joint actions at a node are those of :func:`compatible_in_order`:
     each member's choice on the node's history, every available action
     of the others.  They are generated in sorted order, so each level
     comes out in path order and its nodes take their ids as they come.
@@ -262,6 +262,16 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
         starts.append(len(label))
         frontier = nxt
     return ComputationTree._from_arrays(parent, action, label, starts)
+
+
+def outcomes(g: Cgs, s: str, team: TeamStrategy, depth: int) -> set[History]:
+    """All histories of length depth+1 from ``s`` consistent with the team.
+
+    These are exactly the bounded prefixes of the team's outcome plays:
+    the histories of the nodes at ``depth`` of the saturated tree.
+    """
+    t = saturate(g, s, team, depth)
+    return {t.history(v) for v in t.nodes_at_depth(depth)}
 
 
 def is_complete_level(t: ComputationTree, n: int) -> bool:

@@ -29,6 +29,7 @@ from operator import itemgetter
 
 from .cgs import Cgs, CgsError, UnknownAgent
 from .formulas import And, Atom, Formula, Globally, Next, Not, Until, atoms, coalitions
+from .strategies import table_rows
 
 
 class BoundTooSmall(ValueError):
@@ -399,8 +400,4 @@ def _check_until(g: Cgs, s: str, f: Until, bound: int, memo) -> Verdict:
     table = _Search(g, sorted(f.agents), classify).run(s, bound, horizon_ok=False)
     if table is None:
         return Verdict(Truth.UNKNOWN, bound)
-    rows = [
-        {"agent": m, "obs_history": list(k), "action": a}
-        for (m, k), a in sorted(table.items())
-    ]
-    return Verdict(Truth.TRUE, bound, witness={"table": rows})
+    return Verdict(Truth.TRUE, bound, witness={"table": table_rows(table)})

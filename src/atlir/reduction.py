@@ -217,13 +217,13 @@ def build_cgs(m: TuringMachine) -> ReductionCgs:
             arrow(S_TR2, (IDLE, act, IDLE), carriers[(q, q2, mv)])
             arrow(carriers[(q, q2, mv)], (act, IDLE, IDLE), S_TR2)
 
-    delta = {}
-    for s in states:
-        for a1 in acts12:
-            for a2 in acts12:
-                for a3 in avail[3][s]:
-                    tup = (a1, a2, a3)
-                    delta[(s, tup)] = listed.get((s, tup), S_ERR)
+    # every listed arrow is on an available tuple, so the update keeps
+    # the keys, and their order, of the fill
+    delta = dict.fromkeys(
+        ((s, tup) for s in states for tup in itertools.product(acts12, acts12, avail[3][s])),
+        S_ERR,
+    )
+    delta.update(listed)
 
     g = Cgs(
         agents=3,
@@ -498,15 +498,6 @@ class ClaimEntry:
         }
 
 
-CLAIM_NAMES = {
-    0: "ok-states",
-    1: "history-pair equivalences",
-    2: "level structure",
-    3: "complete-level anatomy",
-    4: "level decoding",
-}
-
-
 @dataclass
 class ClaimReport:
     depth: int
@@ -654,9 +645,9 @@ def _check_pair_equivalences(t, facts, limit, entries):
     to the claim's agent, so only pairs within one observation key are
     compared.  A pair with equal histories, a node with itself included,
     fails none: a type-1 history never enters the generator branch, and
-    equal histories have equal spawn counts.  Each claim reports the
-    last failing pair in the order of a row-major scan of the level's
-    nodes against themselves.
+    equal histories have equal spawn counts.  So a node is never paired
+    with itself.  Each claim reports the last failing pair in the order
+    of a row-major scan of the level's nodes against themselves.
     """
     for n in range(1, limit + 1):
         rows = [facts[v] for v in t.nodes_at_depth(n)]
@@ -673,7 +664,7 @@ def _check_pair_equivalences(t, facts, limit, entries):
                 if f.gen or f.shape.kind == "type1":
                     groups.setdefault(f.key1 if agent == 1 else f.key2, []).append(a)
             for group in groups.values():
-                for a, b in itertools.product(group, repeat=2):
+                for a, b in itertools.permutations(group, 2):
                     f1, f2 = rows[a], rows[b]
                     c1, c2 = f1.shape, f2.shape
                     if c1.kind == "type1" and f2.gen:

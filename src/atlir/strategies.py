@@ -1,4 +1,4 @@
-"""Uniform perfect-recall strategies and bounded outcome exploration.
+"""Uniform perfect-recall strategies and their joint actions.
 
 An agent strategy maps histories (non-empty state sequences) to actions
 and must be uniform: observationally indistinguishable histories get the
@@ -84,23 +84,16 @@ class TeamStrategy:
         )
 
 
-def compatible_tuples(g: Cgs, team: TeamStrategy, history: History) -> set[JointAction]:
-    """Joint actions compatible with the team strategy on ``history``.
+def compatible_in_order(g: Cgs, team: TeamStrategy, history: History) -> Iterator[JointAction]:
+    """Joint actions compatible with the team strategy on ``history``, in sorted order.
 
     Team members play their strategy's action; the other agents range
-    over everything available to them at the last state.
+    over everything available to them at the last state.  Each agent's
+    factor is one action or a sorted, repeat-free tuple, so their
+    product comes out sorted and repeat-free.
     """
     if not history:
         raise ValueError("histories must be non-empty")
-    return set(compatible_in_order(g, team, tuple(history)))
-
-
-def compatible_in_order(g: Cgs, team: TeamStrategy, history: History) -> Iterator[JointAction]:
-    """:func:`compatible_tuples` of a non-empty history tuple, in sorted order.
-
-    Each agent's factor is one action or a sorted, repeat-free tuple, so
-    their product comes out sorted and repeat-free.
-    """
     last = g.check_state(history[-1])
     choices = []
     for i in range(1, g.agents + 1):
@@ -116,29 +109,6 @@ def compatible_in_order(g: Cgs, team: TeamStrategy, history: History) -> Iterato
             )
         choices.append((act,))
     return itertools.product(*choices)
-
-
-def outcomes(g: Cgs, s: str, team: TeamStrategy, depth: int) -> set[History]:
-    """All histories of length depth+1 from ``s`` consistent with the team.
-
-    These are exactly the bounded prefixes of the team's outcome plays:
-    every step's joint action is compatible with the strategy on the
-    preceding prefix, and every step follows the transition map.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    g.check_state(s)
-    frontier: set[History] = {(s,)}
-    for _ in range(depth):
-        nxt: set[History] = set()
-        for h in frontier:
-            last = h[-1]
-            for a in compatible_tuples(g, team, h):
-                t = g.delta.get((last, a))
-                if t is not None:
-                    nxt.add(h + (t,))
-        frontier = nxt
-    return frontier
 
 
 def is_uniform(g: Cgs, strat: AgentStrategy, root: str, depth: int) -> bool:
@@ -169,13 +139,19 @@ def is_uniform(g: Cgs, strat: AgentStrategy, root: str, depth: int) -> bool:
     return True
 
 
+def table_rows(table: Mapping[tuple[int, tuple[int, ...]], str]) -> list[dict]:
+    """Rows {agent, obs_history, action} of an (agent, observation key) table, sorted by key."""
+    return [
+        {"agent": i, "obs_history": list(key), "action": act}
+        for (i, key), act in sorted(table.items())
+    ]
+
+
 def table_dump(team: TeamStrategy) -> list[dict]:
-    """Serialise table strategies as rows {agent, obs_history, action}."""
-    rows = []
-    for i in sorted(team.members):
-        st = team.strategies[i]
+    """Serialise table strategies as :func:`table_rows`."""
+    table = {}
+    for i, st in team.strategies.items():
         if st.table is None:
             raise StrategyError("procedure strategies have no finite table to dump")
-        for key, act in sorted(st.table.items()):
-            rows.append({"agent": i, "obs_history": list(key), "action": act})
-    return rows
+        table.update(((i, key), act) for key, act in st.table.items())
+    return table_rows(table)

@@ -11,7 +11,9 @@ construction checks rescan whole histories: the simulating strategy for
 its spawn positions, and the claim checks for branch shapes and for
 every pair of nodes on a level; the decoding check decodes a level
 afresh for each claim that reads it.  The reference command line builds
-a new parser for every call.
+a new parser for every call.  The reference outcomes grow a set of
+histories with no computation tree, and the reference transition fill
+of the compiled games walks every available joint action one at a time.
 """
 
 import contextlib
@@ -30,11 +32,14 @@ from atlir.comptree import (
     Path,
     extend,
     level,
+    outcomes,
     single_node,
 )
 from atlir.formulas import And, Atom, Globally, Next, Not, Until
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, Verdict
 from atlir.reduction import (
+    BR1,
+    BR2,
     IDLE,
     OTHER,
     P1,
@@ -45,7 +50,10 @@ from atlir.reduction import (
     S_GEN,
     S_INIT,
     S_INIT2,
+    S_LB,
+    S_LB2,
     S_TR,
+    S_TR2,
     TYPE1,
     ClaimEntry,
     ClaimReport,
@@ -57,7 +65,7 @@ from atlir.reduction import (
     type2_closed,
     type2_open,
 )
-from atlir.strategies import AgentStrategy, TeamStrategy, compatible_tuples, outcomes
+from atlir.strategies import AgentStrategy, TeamStrategy, compatible_in_order
 from atlir.turing import (
     LEFT,
     RIGHT,
@@ -159,7 +167,7 @@ def brute_force_safety_refuted(g: Cgs, members, p: str, s: str, depth: int):
     """Whether every uniform table admits a non-p state within ``depth``.
 
     Each enumerated table is replayed through the outcome machinery of
-    the strategies module, so this shares no code with either checker.
+    the comptree module, so this shares no code with either checker.
     Returns None when the table space is too large to enumerate.
     """
     if p not in g.label[s]:
@@ -175,6 +183,25 @@ def brute_force_safety_refuted(g: Cgs, members, p: str, s: str, depth: int):
         if all(p in g.label[state] for h in plays for state in h):
             return False
     return True
+
+
+def reference_outcomes(g: Cgs, s: str, team, depth: int) -> set[History]:
+    """atlir.comptree.outcomes as first written: a frontier of histories
+    grown one step per depth, with no computation tree."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    g.check_state(s)
+    frontier: set[History] = {(s,)}
+    for _ in range(depth):
+        nxt: set[History] = set()
+        for h in frontier:
+            last = h[-1]
+            for a in set(compatible_in_order(g, team, h)):
+                t = g.delta.get((last, a))
+                if t is not None:
+                    nxt.add(h + (t,))
+        frontier = nxt
+    return frontier
 
 
 def random_cgs(
@@ -469,7 +496,7 @@ def check_box_atomic(g: Cgs, s: str, team, p: str, bound: int) -> Verdict:
             bad = None
             for v in leaves:
                 h = grown.history(v)
-                for a in sorted(compatible_tuples(g, team_strategy, h)):
+                for a in sorted(set(compatible_in_order(g, team_strategy, h))):
                     grown = extend(g, team_strategy, grown, v, a)
                     t = grown.label(grown.node(grown.path(v) + (a,)))
                     if p not in g.label[t]:
@@ -695,12 +722,36 @@ def reference_validate(g: Cgs) -> list[Violation]:
 
 # -- reference construction checks --------------------------------------------
 #
-# atlir.reduction's simulation tree and claim checks as first written:
+# atlir.reduction's transition fill, simulation tree and claim checks as
+# first written: the fill walks every available tuple one at a time,
 # the simulating strategy lists each history's proposition positions,
-# saturation goes through compatible_tuples and sorts, every node's
+# saturation sorts the set of compatible joint actions, every node's
 # branch shape is reference_classify_history of its whole history, and claims 1
 # and 2.4 test every pair of nodes on a level.  The library must build
 # equal trees and report the same entries.
+
+
+def reference_reduction_delta(rc) -> dict:
+    """The transition map of ``build_cgs`` filled one tuple at a time, as
+    first written.
+
+    The arrows the construction lists are the game's transitions into
+    states other than s_err; every other available joint action leads to
+    s_err.  States run in the order ``build_cgs`` declares them.
+    """
+    g = rc.cgs
+    states = [S_INIT, S_INIT2, S_LB, S_LB2, S_GEN, S_TR, S_TR2, S_ERR]
+    states += [*rc.cell_states.values(), *rc.head_states.values(), *rc.carrier_states.values()]
+    acts12 = sorted(g.actions - {BR1, BR2})
+    listed = {k: t for k, t in g.delta.items() if t != S_ERR}
+    delta = {}
+    for s in states:
+        for a1 in acts12:
+            for a2 in acts12:
+                for a3 in sorted(g.available(3, s)):
+                    tup = (a1, a2, a3)
+                    delta[(s, tup)] = listed.get((s, tup), S_ERR)
+    return delta
 
 
 def reference_simulating_strategy(rc):
@@ -806,7 +857,7 @@ def reference_saturate(g, s, team, depth):
         nxt: list[Path] = []
         for v in frontier:
             h = histories[v]
-            for a in sorted(compatible_tuples(g, team, h)):
+            for a in sorted(set(compatible_in_order(g, team, h))):
                 s2 = g.delta.get((h[-1], a))
                 if s2 is None:
                     continue

@@ -188,9 +188,9 @@ def test_confluence_random_extension_order(rc5):
             v = pending.pop()
             if len(v) >= 4:
                 continue
-            from atlir.strategies import compatible_tuples
+            from atlir.strategies import compatible_in_order
 
-            tuples = sorted(compatible_tuples(g, team, t.history(t.node(v))))
+            tuples = sorted(set(compatible_in_order(g, team, t.history(t.node(v)))))
             rng.shuffle(tuples)
             for a in tuples:
                 if g.delta.get((t.label(t.node(v)), a)) is None:
@@ -206,11 +206,11 @@ def test_trees_embed_in_saturation(rc5):
     big = simulation_tree(rc5, 5)
     big_labels = big.labels()
     t = single_node(S_INIT)
-    from atlir.strategies import compatible_tuples
+    from atlir.strategies import compatible_in_order
 
     for v in list(big_labels):
         if len(v) < 3:
-            for a in sorted(compatible_tuples(g, team, big.history(big.node(v))))[:1]:
+            for a in sorted(set(compatible_in_order(g, team, big.history(big.node(v)))))[:1]:
                 child = v + (a,)
                 here = t.labels()
                 if child in big_labels and child not in here and v in here:

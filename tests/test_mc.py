@@ -12,10 +12,11 @@ from oracles import (
 )
 from machines import FIVE_MACHINES, M5_EXT, M_HALT
 
-from atlir.cgs import Cgs
+from atlir.cgs import Cgs, cgs_from_json, cgs_to_json
 from atlir.formulas import MAX_NESTING, parse_formula
 from atlir.mc import BoundTooSmall, Truth, UnknownProposition, _Search, check
 from atlir.reduction import S_INIT, build_cgs
+from atlir.strategies import AgentStrategy, TeamStrategy, table_dump
 
 
 def singleton(label_p=True):
@@ -114,6 +115,33 @@ def test_until_one_step_force():
     v = check(g, "s", parse_formula("<<1>> p U q"), 2)
     assert v.value is Truth.TRUE
     assert v.witness["table"] == [{"agent": 1, "obs_history": [0], "action": "a"}]
+
+
+def test_until_witness_rows_are_the_table_dump():
+    # the witness rows are those of the team strategy built from them
+    rng = random.Random(8)
+    witnessed = 0
+    for _ in range(300):
+        doc = cgs_to_json(random_cgs(rng, max_states=5, max_actions=3))
+        doc["props"].append("q")
+        for props in doc["label"].values():
+            if rng.random() < 0.3:
+                props.append("q")
+        g = cgs_from_json(doc)
+        s = rng.choice(doc["states"])
+        members = rng.choice([(1,), (2,), (1, 2)])
+        coalition = ",".join(map(str, members))
+        v = check(g, s, parse_formula(f"<<{coalition}>> p U q"), rng.randint(1, 4))
+        if v.value is not Truth.TRUE:
+            continue
+        rows = v.witness["table"]
+        tables = {m: {} for m in members}
+        for row in rows:
+            tables[row["agent"]][tuple(row["obs_history"])] = row["action"]
+        team = TeamStrategy.of(*(AgentStrategy.from_table(m, t) for m, t in tables.items()))
+        assert table_dump(team) == rows
+        witnessed += bool(rows)
+    assert witnessed >= 20
 
 
 def test_until_never_false():

@@ -12,6 +12,7 @@ from oracles import (
     reference_level_structure,
     reference_node_facts,
     reference_pair_equivalences,
+    reference_reduction_delta,
     reference_saturate,
     reference_simulating_strategy,
     reference_verify_construction,
@@ -392,6 +393,13 @@ def test_loop3_claims_hold_at_depth_201():
 
 
 # -- differential tests against the reference construction checks -------------
+
+
+@pytest.mark.parametrize("name", sorted(SIX_MACHINES))
+def test_transition_map_matches_reference_fill(name):
+    # the same transitions, in the same key order
+    rc = build_cgs(SIX_MACHINES[name])
+    assert list(rc.cgs.delta.items()) == list(reference_reduction_delta(rc).items())
 
 
 @pytest.mark.parametrize("name", sorted(SIX_MACHINES))

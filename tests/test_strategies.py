@@ -1,6 +1,12 @@
+import random
+from collections import Counter
+
 import pytest
 
+from oracles import random_cgs, reference_outcomes
+
 from atlir.cgs import Cgs
+from atlir.comptree import outcomes
 from atlir.reduction import (
     BR1,
     BR2,
@@ -14,9 +20,8 @@ from atlir.strategies import (
     StrategyError,
     StrategyUndefined,
     TeamStrategy,
-    compatible_tuples,
+    compatible_in_order,
     is_uniform,
-    outcomes,
     table_dump,
 )
 
@@ -61,7 +66,7 @@ def test_nonuniform_procedure_is_caught(rc5):
 
 def test_compatible_tuples_at_root(rc5):
     team = simulating_strategy(rc5)
-    got = compatible_tuples(rc5.cgs, team, (S_INIT,))
+    got = set(compatible_in_order(rc5.cgs, team, (S_INIT,)))
     assert got == {(IDLE, IDLE, BR1), (IDLE, IDLE, BR2)}
 
 
@@ -70,20 +75,20 @@ def test_compatible_tuples_cardinality(rc5):
     team = simulating_strategy(rc5)
     for h in [(S_INIT,), (S_INIT, S_GEN), (S_INIT, S_GEN, "s_B")]:
         free_sizes = len(g.available(3, h[-1]))
-        assert len(compatible_tuples(g, team, h)) == free_sizes
+        assert len(set(compatible_in_order(g, team, h))) == free_sizes
 
 
 def test_compatible_tuples_full_team_singleton():
     g = chain(2)
     team = TeamStrategy.of(AgentStrategy.from_table(1, {(0,): "go"}))
-    assert compatible_tuples(g, team, ("s0",)) == {("go",)}
+    assert set(compatible_in_order(g, team, ("s0",))) == {("go",)}
 
 
 def test_strategy_undefined_propagates():
     g = chain(2)
     team = TeamStrategy.of(AgentStrategy.from_table(1, {}))
     with pytest.raises(StrategyUndefined):
-        compatible_tuples(g, team, ("s0",))
+        set(compatible_in_order(g, team, ("s0",)))
     with pytest.raises(StrategyUndefined):
         outcomes(g, "s0", team, 1)
 
@@ -92,7 +97,14 @@ def test_unavailable_action_is_an_error():
     g = chain(2)
     team = TeamStrategy.of(AgentStrategy.from_procedure(1, lambda h: "stop"))
     with pytest.raises(StrategyError):
-        compatible_tuples(g, team, ("s0",))
+        set(compatible_in_order(g, team, ("s0",)))
+
+
+def test_compatible_in_order_rejects_empty_history():
+    g = chain(2)
+    team = TeamStrategy.of(AgentStrategy.from_table(1, {(0,): "go"}))
+    with pytest.raises(ValueError):
+        compatible_in_order(g, team, ())
 
 
 def test_outcomes_depth_zero(rc5):
@@ -156,3 +168,63 @@ def test_table_dump_format():
     proc = TeamStrategy.of(AgentStrategy.from_procedure(1, lambda h: "go"))
     with pytest.raises(StrategyError):
         table_dump(proc)
+
+
+def random_member_strategy(rng, g, agent, s, depth, fault):
+    """A uniform strategy of ``agent`` on the histories from ``s`` with at
+    most ``depth`` states: a procedure of the observation key, or a table.
+
+    A ``fault`` is put into the table: a "missing" entry, or an
+    "unavailable" action.
+    """
+    if fault is None and rng.random() < 0.5:
+        salt = rng.randrange(1, 7)
+
+        def play(h):
+            acts = g.available_sorted(agent, h[-1])
+            return acts[(sum(g.obs_key(agent, h)) + salt * len(h)) % len(acts)]
+
+        return AgentStrategy.from_procedure(agent, play)
+    table = {}
+    stack = [(s,)]
+    while stack:
+        h = stack.pop()
+        key = g.obs_key(agent, h)
+        if key not in table:
+            table[key] = rng.choice(g.available_sorted(agent, h[-1]))
+        if len(h) < depth:
+            stack.extend(h + (t,) for t in g.successors(h[-1]))
+    key = rng.choice(sorted(table))
+    if fault == "missing":
+        del table[key]
+    elif fault == "unavailable":
+        table[key] = "unavailable"
+    return AgentStrategy.from_table(agent, table)
+
+
+def outcomes_or_error(fn, g, s, team, depth):
+    try:
+        return fn(g, s, team, depth)
+    except StrategyError as exc:
+        return type(exc)
+
+
+def test_outcomes_match_reference_on_random_structures():
+    rng = random.Random(23)
+    raised = Counter()
+    for _ in range(300):
+        g = random_cgs(rng, max_states=5, max_actions=3, identity_obs=rng.random() < 0.3)
+        s = sorted(g.states)[rng.randrange(len(g.states))]
+        members = rng.choice([(1,), (2,), (1, 2)])
+        # one kind of fault per team, so that the error raised does not
+        # depend on which history either side reaches first
+        fault = rng.choice([None, None, "missing", "unavailable"])
+        team = TeamStrategy.of(
+            *(random_member_strategy(rng, g, m, s, 4, fault) for m in members)
+        )
+        for depth in range(5):
+            want = outcomes_or_error(reference_outcomes, g, s, team, depth)
+            assert outcomes_or_error(outcomes, g, s, team, depth) == want
+            if isinstance(want, type):
+                raised[want] += 1
+    assert raised[StrategyUndefined] and raised[StrategyError]
