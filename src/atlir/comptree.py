@@ -23,7 +23,7 @@ import itertools
 from typing import AbstractSet, Iterable, Mapping
 
 from .cgs import Cgs, History, JointAction, successor
-from .strategies import TeamStrategy, compatible_in_order
+from .strategies import TeamStrategy, agent_factor, compatible_in_order
 
 NodeId = int
 Path = tuple[JointAction, ...]
@@ -101,14 +101,14 @@ class ComputationTree:
         self._starts = starts
         # Parents never decrease along the ids, so the children of v are
         # the ids from first_child[v] up to first_child[v + 1].
-        first_child, c = [], 1
-        for v in range(len(parent) + 1):
-            first_child.append(c)
-            while c < len(parent) and parent[c] == v:
-                c += 1
-        self._first_child = first_child
+        counts = [0] * (len(parent) + 1)
+        for p in parent[1:]:
+            counts[p] += 1
+        self._first_child = list(itertools.accumulate(counts, initial=1))[:-1]
         # per last_labels: the bit rows of levels 0, 1, .. (see _level_relation)
         self._order_cache: dict[frozenset[str], list[list[int]]] = {}
+        # per (last_labels, n): level n's nodes left to right, once ordered
+        self._level_cache: dict[tuple[frozenset[str], int], list[NodeId]] = {}
 
     def _check(self, v) -> NodeId:
         if v in self:
@@ -226,41 +226,72 @@ def extend(
     return ComputationTree(t.root_label, labels)
 
 
-def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
+def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int, _carry=None) -> ComputationTree:
     """The maximal tree of extension steps with paths of at most depth+1 nodes.
 
     Extensions at distinct (node, action) pairs commute, so the result
     does not depend on the order in which they are applied.
 
-    The joint actions at a node are those of :func:`compatible_in_order`:
-    each member's choice on the node's history, every available action
-    of the others.  They are generated in sorted order, so each level
-    comes out in path order and its nodes take their ids as they come.
+    The joint actions at a node are those of :func:`compatible_in_order`
+    on its history, but no history is built: the members update their
+    parent's memories by the node's state and play from them.  The joint
+    actions and successors are generated once per (state, members'
+    actions), in sorted order, so each level comes out in path order and
+    its nodes take their ids as they come.  Errors are those of the
+    histories, at the same node.  ``_carry`` is a pair (step, notes):
+    each node ``v`` added below ``u`` appends ``step(notes[u], label of
+    u, label of v)`` to ``notes``, which starts with the root's note.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     g.check_state(s)
+    # compatible_in_order reads the members among agents 1..n, in order
+    members = [i for i in range(1, g.agents + 1) if i in team.members]
+    updates = [team.strategies[i].update for i in members]
+    plays = [team.strategies[i].act for i in members]
+    step, notes = _carry or (None, None)
     parent: list[NodeId] = [-1]
     action: list[JointAction | None] = [None]
     label = [s]
     starts = [0, 1]
-    frontier: list[tuple[NodeId, History]] = [(0, (s,))]
+    # per (state, members' actions): the joint actions and their successors
+    moves: dict[tuple[str, ...], list[tuple[JointAction, str]]] = {}
+    # per member: the memories of the parents of the level's nodes
+    ups = [[team.strategies[i].start] for i in members]
     for _ in range(depth):
-        nxt: list[tuple[NodeId, History]] = []
-        for v, h in frontier:
-            last = h[-1]
-            for a in compatible_in_order(g, team, h):
-                s2 = g.delta.get((last, a))
-                if s2 is None:
-                    continue
-                nxt.append((len(label), h + (s2,)))
+        lo, hi = starts[-2], starts[-1]
+        last = label[lo:hi]
+        try:
+            memory = [list(map(u, itertools.repeat(g), m, last)) for u, m in zip(updates, ups)]
+            acts = [list(map(f, m)) for f, m in zip(plays, memory)]
+        except Exception:
+            # raise what compatible_in_order raises first, node by node
+            for j, x in enumerate(last):
+                for i, u, f, m in zip(members, updates, plays, ups):
+                    agent_factor(g, i, x, f(u(g, m[j], x)))
+            raise
+        for v, key in enumerate(zip(last, *acts), lo):
+            kids = moves.get(key)
+            if kids is None:
+                x, played = key[0], dict(zip(members, key[1:]))
+                factors = [agent_factor(g, i, x, played.get(i)) for i in range(1, g.agents + 1)]
+                moves[key] = kids = [
+                    (a, s2)
+                    for a in itertools.product(*factors)
+                    if (s2 := g.delta.get((x, a))) is not None
+                ]
+            for a, s2 in kids:
                 parent.append(v)
                 action.append(a)
                 label.append(s2)
-        if not nxt:
+        if len(label) == hi:
             break
         starts.append(len(label))
-        frontier = nxt
+        below = parent[hi:]
+        if step is not None:
+            ups_of = map(notes.__getitem__, below)
+            notes.extend(map(step, ups_of, map(label.__getitem__, below), label[hi:]))
+        ups = [[m[p - lo] for p in below] for m in memory]
     return ComputationTree._from_arrays(parent, action, label, starts)
 
 
@@ -289,7 +320,8 @@ def _is_total(rows: list[int]) -> bool:
     nodes.
     """
     size = len(rows)
-    return not any(row >> i & 1 for i, row in enumerate(rows)) and (
+    # row i & (1 << i) is node i preceding itself
+    return not any(map(int.__and__, rows, map((1).__lshift__, range(size)))) and (
         sum(map(int.bit_count, rows)) == size * (size - 1) // 2
     )
 
@@ -327,7 +359,8 @@ def _level_relation(
             child_mask[p] |= 1 << j
             if s in last_labels:
                 last_mask |= 1 << j
-        if _is_total(above):
+        # level() caches only total levels
+        if (last_labels, k - 1) in t._level_cache or _is_total(above):
             # a parent's rank is its count of predecessors
             rank = [len(above) - 1 - row.bit_count() for row in above]
             by_rank = [0] * len(above)
@@ -379,10 +412,13 @@ def level(
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
+    key = (frozenset(last_labels), n)
+    if key in t._level_cache:
+        return list(t._level_cache[key])
     nodes = t.nodes_at_depth(n)
     if len(nodes) <= 1:
         return nodes
-    rows = _level_relation(t, frozenset(last_labels), n)
+    rows = _level_relation(t, key[0], n)
     size = len(nodes)
     # Only a failing level is scanned pair by pair, to name the first
     # pair left unordered.
@@ -403,7 +439,8 @@ def level(
     ordered = [0] * size
     for v, row in zip(nodes, rows):
         ordered[size - 1 - row.bit_count()] = v
-    return ordered
+    t._level_cache[key] = ordered
+    return list(ordered)
 
 
 # -- exports -----------------------------------------------------------------

@@ -32,6 +32,7 @@ converse direction at any finite depth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -272,10 +273,13 @@ TYPE1 = HistoryType("type1")
 OTHER = HistoryType("other")
 
 
+# shapes are immutable, so each is made once
+@functools.cache
 def type2_open(i: int) -> HistoryType:
     return HistoryType("type2_open", i)
 
 
+@functools.cache
 def type2_closed(i: int) -> HistoryType:
     return HistoryType("type2_closed", i)
 
@@ -344,8 +348,9 @@ def simulating_strategy(rc: ReductionCgs) -> TeamStrategy:
     since agents 1 and 2 may play every non-branching action anywhere.
 
     Exactly one state carries ``p1`` (``s_gen``) and exactly one carries
-    ``p2`` (``s_tr``), so the spawn pattern is tested by counting that
-    state and slicing the history at the pattern's positions.
+    ``p2`` (``s_tr``).  So an agent's memory is the history's length, its
+    count of that state, and whether each occurrence so far fell on the
+    pattern's next position.
     """
     m = rc.machine
     configs: list[Configuration | None] = [parse_configuration(m, (m.q0, m.blank))]
@@ -381,40 +386,28 @@ def simulating_strategy(rc: ReductionCgs) -> TeamStrategy:
             return None
         return mv[2]
 
-    def play1(h: History) -> str:
-        i = h.count(S_GEN)
-        if i and h[1 : 2 * i : 2].count(S_GEN) == i:
-            n = len(h)
-            if n >= 4 and n % 2 == 0:
-                act = move_if((n - 2) // 2, head_at=i, direction=RIGHT)
-                if act:
-                    return act
-            if n >= 5 and n % 2 == 1:
-                act = move_if((n - 3) // 2, head_at=i + 1, direction=LEFT)
-                if act:
-                    return act
-        return IDLE
+    def playing(agent: int, spawn: str) -> AgentStrategy:
+        def update(g, memory, s):
+            n, i, intact = memory
+            if s == spawn:
+                # the k-th spawn (from 0) belongs at position 2k + agent
+                return n + 1, i + 1, intact and n == 2 * i + agent
+            return n + 1, i, intact
 
-    def play2(h: History) -> str:
-        i = h.count(S_TR)
-        if not i:
-            return rc.init_action if len(h) == 3 else IDLE
-        if h[2 : 2 * i + 1 : 2].count(S_TR) == i:
-            n = len(h)
-            if n >= 5 and n % 2 == 1:
-                act = move_if((n - 3) // 2, head_at=i, direction=RIGHT)
-                if act:
-                    return act
-            if n >= 4 and n % 2 == 0:
-                act = move_if((n - 2) // 2, head_at=i + 1, direction=LEFT)
-                if act:
-                    return act
-        return IDLE
+        def play(memory) -> str:
+            n, i, intact = memory
+            if agent == 2 and not i:
+                return rc.init_action if n == 3 else IDLE
+            if i and intact and n >= 4:
+                # agent 1 initiates right moves on even lengths, agent 2 on odd
+                right = (n + agent) % 2 == 1
+                act = move_if((n - 2) // 2, i if right else i + 1, RIGHT if right else LEFT)
+                return act or IDLE
+            return IDLE
 
-    return TeamStrategy.of(
-        AgentStrategy.from_procedure(1, play1),
-        AgentStrategy.from_procedure(2, play2),
-    )
+        return AgentStrategy(agent, (0, 0, True), update, play)
+
+    return TeamStrategy.of(playing(1, S_GEN), playing(2, S_TR))
 
 
 def simulation_tree(rc: ReductionCgs, depth: int) -> ComputationTree:
@@ -425,7 +418,7 @@ def simulation_tree(rc: ReductionCgs, depth: int) -> ComputationTree:
 def error_level(t: ComputationTree) -> int | None:
     """The first level of ``t`` that holds an ``s_err`` node, or None."""
     for n in range(t.max_depth + 1):
-        if any(t.label(v) == S_ERR for v in t.nodes_at_depth(n)):
+        if S_ERR in map(t.label, t.nodes_at_depth(n)):
             return n
     return None
 
@@ -572,7 +565,10 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
         raise ValueError("depth must be at least 3")
     m = rc.machine
     g = rc.cgs
-    t = simulation_tree(rc, depth)
+    # every node's facts, carried down in the saturation pass
+    step = _facts_step(g)
+    facts = [step(_NO_FACTS, None, S_INIT)]
+    t = saturate(g, S_INIT, simulating_strategy(rc), depth, _carry=(step, facts))
     entries: list[ClaimEntry] = []
 
     err_level = error_level(t)
@@ -590,7 +586,6 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
         )
     )
 
-    facts = _node_facts(g, t, limit)
     orders: dict[int, list] = {}
     order_fail: dict[int, str] = {}
     for n in range(limit + 1):
@@ -609,32 +604,47 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
 
 
+_NO_FACTS = _NodeFacts(None, -1, -1, False, (0, 0))  # the empty history's
+# _NodeFacts from a tuple of the fields, without the Python-level __new__
+_facts_of = functools.partial(tuple.__new__, _NodeFacts)
+
+
+def _facts_step(g: Cgs):
+    """``step(up, up_label, s)``: the facts of a history extended by ``s``,
+    from the history's (``up``) and its last state (None if empty)."""
+    # key ids: the id of a parent's key extended by one block
+    ids: dict[tuple[int, int], int] = {}
+    blocks: dict[str, tuple[int, int]] = {}  # per state, for agents 1 and 2
+
+    def step(up: _NodeFacts, up_label: str | None, s: str) -> _NodeFacts:
+        shape, key1, key2, gen, spawns = up
+        b1, b2 = blocks.get(s) or blocks.setdefault(s, (g.block_of(1, s), g.block_of(2, s)))
+        # observation keys are pointwise, so each extends its parent's
+        key1 = ids.setdefault((key1, b1), len(ids))
+        key2 = ids.setdefault((key2, b2), len(ids))
+        if s != S_GEN and s != S_TR and shape is not None and shape.kind != "root":
+            # below the root, a state that spawns nothing keeps the shape
+            # (see _next_shape), gen and the spawn counts
+            return _facts_of((shape, key1, key2, gen, spawns))
+        gens, trs = spawns
+        shape2 = _next_shape(shape, up_label, s)
+        gen = gen or (s == S_GEN and shape == ROOT)
+        return _facts_of((shape2, key1, key2, gen, (gens + (s == S_GEN), trs + (s == S_TR))))
+
+    return step
+
+
 def _node_facts(g: Cgs, t: ComputationTree, limit: int) -> list[_NodeFacts | None]:
     """The facts of every node down to depth ``limit``, each from its
     parent's, indexed by node id; deeper nodes get None."""
+    step = _facts_step(g)
     facts: list[_NodeFacts | None] = [None] * len(t)
-    # key ids: the id of a parent's key extended by one block
-    ids: dict[tuple[int, int], int] = {}
-
-    def extended(up: _NodeFacts, up_label: str | None, v: int) -> _NodeFacts:
-        s = t.label(v)
-        gens, trs = up.spawns
-        return _NodeFacts(
-            _next_shape(up.shape, up_label, s),
-            # observation keys are pointwise, so each extends its parent's
-            ids.setdefault((up.key1, g.block_of(1, s)), len(ids)),
-            ids.setdefault((up.key2, g.block_of(2, s)), len(ids)),
-            up.gen or (up.shape == ROOT and s == S_GEN),
-            (gens + (s == S_GEN), trs + (s == S_TR)),
-        )
-
-    # the empty history's facts, with -1 for its key ids
-    facts[0] = extended(_NodeFacts(None, -1, -1, False, (0, 0)), None, 0)
+    facts[0] = step(_NO_FACTS, None, t.label(0))
     for n in range(limit):
         for u in t.nodes_at_depth(n):
             up, up_label = facts[u], t.label(u)
             for v in t.children(u):
-                facts[v] = extended(up, up_label, v)
+                facts[v] = step(up, up_label, t.label(v))
     return facts
 
 
@@ -664,23 +674,25 @@ def _check_pair_equivalences(t, facts, limit, entries):
                 if f.gen or f.shape.kind == "type1":
                     groups.setdefault(f.key1 if agent == 1 else f.key2, []).append(a)
             for group in groups.values():
-                for a, b in itertools.permutations(group, 2):
+                for a, b in itertools.combinations(group, 2):
                     f1, f2 = rows[a], rows[b]
                     c1, c2 = f1.shape, f2.shape
-                    if c1.kind == "type1" and f2.gen:
-                        if agent == 1:
-                            fail("1.1", a, b, f"reference branch ~1 {c2}")
-                        elif c2 != type2_open(1):
-                            fail("1.2", a, b, f"reference branch ~2 {c2}")
+                    for x, y, cx, fy in ((a, b, c1, f2), (b, a, c2, f1)):
+                        if cx.kind == "type1" and fy.gen:
+                            if agent == 1:
+                                fail("1.1", x, y, f"reference branch ~1 {fy.shape}")
+                            elif fy.shape != type2_open(1):
+                                fail("1.2", x, y, f"reference branch ~2 {fy.shape}")
                     if not (f1.gen and f2.gen) or f1.spawns == f2.spawns:
                         continue
+                    # 1.3 and 1.4 fail a pair both ways, and (b, a) comes later
                     if agent == 1 and not (
                         c1.is_refined_type2
                         and c2.is_refined_type2
                         and c1.index == c2.index
-                        and {c1.kind, c2.kind} == {"type2_open", "type2_closed"}
+                        and c1.kind != c2.kind  # one open, one closed
                     ):
-                        fail("1.3", a, b, f"{c1} ~1 {c2}")
+                        fail("1.3", b, a, f"{c2} ~1 {c1}")
                     if agent == 2 and not (
                         (
                             c1.kind == "type2_closed"
@@ -693,7 +705,7 @@ def _check_pair_equivalences(t, facts, limit, entries):
                             and c1.index == c2.index + 1
                         )
                     ):
-                        fail("1.4", a, b, f"{c1} ~2 {c2}")
+                        fail("1.4", b, a, f"{c2} ~2 {c1}")
         for k in ("1.1", "1.2", "1.3", "1.4"):
             entries.append(ClaimEntry(1, k, n, k not in last, last[k][1] if k in last else ""))
 

@@ -2,9 +2,10 @@
 
 An agent strategy maps histories (non-empty state sequences) to actions
 and must be uniform: observationally indistinguishable histories get the
-same action.  Two forms exist.  Table strategies are finite maps keyed
-by the observation class of the history, so uniformity is structural.
-Procedure strategies wrap an arbitrary total function on histories; for
+same action.  Each reads a history state by state into a memory and plays
+from it.  Table strategies are finite maps keyed by the observation class
+of the history, their memory, so uniformity is structural.  Procedure
+strategies wrap a total function on histories, kept as their memory; for
 those, uniformity is checked by enumeration (:func:`is_uniform`).
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .cgs import Cgs, History, JointAction
 
@@ -27,37 +28,42 @@ class StrategyUndefined(StrategyError):
 
 @dataclass(frozen=True)
 class AgentStrategy:
-    agent: int
-    table: Mapping[tuple[int, ...], str] | None = None
-    procedure: Callable[[History], str] | None = None
+    """``start`` is the empty history's memory, ``update(g, memory, s)`` the
+    memory once ``s`` is appended, and ``act(memory)`` the action on a
+    non-empty history.  ``table`` is a table strategy's map, else None."""
 
-    def __post_init__(self):
-        if (self.table is None) == (self.procedure is None):
-            raise StrategyError("exactly one of table/procedure must be given")
-        if self.table is not None:
-            object.__setattr__(self, "table", dict(self.table))
+    agent: int
+    start: Any
+    update: Callable[[Cgs, Any, str], Any]
+    act: Callable[[Any], str]
+    table: Mapping[tuple[int, ...], str] | None = None
 
     @classmethod
     def from_table(cls, agent: int, table: Mapping[tuple[int, ...], str]) -> "AgentStrategy":
-        return cls(agent=agent, table={tuple(k): v for k, v in table.items()})
+        table = {tuple(k): v for k, v in table.items()}
+
+        def act(key: tuple[int, ...]) -> str:
+            try:
+                return table[key]
+            except KeyError:
+                raise StrategyUndefined(
+                    f"agent {agent}: no table entry for observation history {key}"
+                ) from None
+
+        return cls(agent, (), lambda g, key, s: key + (g.block_of(agent, s),), act, table)
 
     @classmethod
     def from_procedure(cls, agent: int, fn: Callable[[History], str]) -> "AgentStrategy":
-        return cls(agent=agent, procedure=fn)
+        return cls(agent, (), lambda g, h, s: h + (s,), fn)
 
     def action(self, g: Cgs, history: History) -> str:
         """The action this strategy plays on ``history``."""
         if not history:
             raise ValueError("histories must be non-empty")
-        if self.table is not None:
-            key = g.obs_key(self.agent, history)
-            try:
-                return self.table[key]
-            except KeyError:
-                raise StrategyUndefined(
-                    f"agent {self.agent}: no table entry for observation history {key}"
-                ) from None
-        return self.procedure(tuple(history))
+        memory = self.start
+        for s in history:
+            memory = self.update(g, memory, s)
+        return self.act(memory)
 
 
 @dataclass(frozen=True)
@@ -98,17 +104,21 @@ def compatible_in_order(g: Cgs, team: TeamStrategy, history: History) -> Iterato
     choices = []
     for i in range(1, g.agents + 1):
         st = team.strategies.get(i)
-        if st is None:
-            choices.append(g.available_sorted(i, last))
-            continue
-        act = st.action(g, history)
-        if act not in g.avail.get((i, last), ()):
-            raise StrategyError(
-                f"agent {i} plays {act!r} on a history ending at {last!r}, "
-                f"where it is not available"
-            )
-        choices.append((act,))
+        choices.append(agent_factor(g, i, last, None if st is None else st.action(g, history)))
     return itertools.product(*choices)
+
+
+def agent_factor(g: Cgs, i: int, last: str, act: str | None) -> tuple[str, ...]:
+    """Agent ``i``'s factor of the joint actions at state ``last``: a member's
+    action ``act``, or every action available to a non-member (None)."""
+    if act is None:
+        return g.available_sorted(i, last)
+    if act not in g.avail.get((i, last), ()):
+        raise StrategyError(
+            f"agent {i} plays {act!r} on a history ending at {last!r}, "
+            f"where it is not available"
+        )
+    return (act,)
 
 
 def is_uniform(g: Cgs, strat: AgentStrategy, root: str, depth: int) -> bool:

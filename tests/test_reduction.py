@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -56,7 +57,7 @@ from atlir.reduction import (
     type2_open,
     verify_construction,
 )
-from atlir.strategies import is_uniform
+from atlir.strategies import AgentStrategy, TeamStrategy, is_uniform
 from atlir.turing import TuringMachine, halts_within
 
 
@@ -413,6 +414,41 @@ def test_simulation_tree_matches_reference(name):
     for n in range(43):
         assert t.nodes_at_depth(n) == want.nodes_at_depth(n)
     assert all(t.children(v) == want.children(v) for v in want.nodes())
+
+
+@pytest.mark.parametrize("depth", [21, 61])
+def test_simulation_tree_strategy_work_is_one_step_per_node(monkeypatch, depth):
+    """Each expanded node costs each member one memory update and one
+    action, whatever its depth, and no strategy reads a whole history."""
+    rc = build_cgs(LOOP3)
+    want = simulation_tree(rc, depth)
+    calls = Counter()
+
+    def counted(st):
+        def update(g, memory, s):
+            calls["update", st.agent] += 1
+            return st.update(g, memory, s)
+
+        def act(memory):
+            calls["act", st.agent] += 1
+            return st.act(memory)
+
+        return AgentStrategy(st.agent, st.start, update, act)
+
+    def from_history(self, g, history):
+        raise AssertionError("a strategy was played on a whole history")
+
+    team = simulating_strategy(rc)
+    monkeypatch.setattr(
+        reduction,
+        "simulating_strategy",
+        lambda rc: TeamStrategy.of(*map(counted, team.strategies.values())),
+    )
+    monkeypatch.setattr(AgentStrategy, "action", from_history)
+    t = simulation_tree(rc, depth)
+    assert t == want
+    expanded = len(t) - len(t.nodes_at_depth(depth))
+    assert dict(calls) == {(kind, i): expanded for kind in ("update", "act") for i in (1, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(SIX_MACHINES))

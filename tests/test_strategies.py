@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from oracles import random_cgs, reference_outcomes
+from oracles import random_cgs, reference_outcomes, reference_saturate
 
 from atlir.cgs import Cgs
-from atlir.comptree import outcomes
+from atlir.comptree import outcomes, saturate
 from atlir.reduction import (
     BR1,
     BR2,
@@ -227,4 +227,44 @@ def test_outcomes_match_reference_on_random_structures():
             assert outcomes_or_error(outcomes, g, s, team, depth) == want
             if isinstance(want, type):
                 raised[want] += 1
+    assert raised[StrategyUndefined] and raised[StrategyError]
+
+
+def saturate_or_error(fn, g, s, team, depth):
+    try:
+        return fn(g, s, team, depth)
+    except StrategyError as exc:
+        return type(exc), str(exc)
+
+
+def test_saturate_matches_reference_on_random_structures():
+    """The memory-driven saturation against the one that plays every
+    strategy on whole histories: equal trees, or the same error."""
+    rng = random.Random(29)
+    raised = Counter()
+    for _ in range(300):
+        g = random_cgs(rng, max_states=5, max_actions=3, identity_obs=rng.random() < 0.3)
+        s = sorted(g.states)[rng.randrange(len(g.states))]
+        members = rng.choice([(1,), (2,), (1, 2)])
+        # a fault per member, so one team may hold both kinds: the error
+        # raised first must still be the reference's
+        team = TeamStrategy.of(
+            *(
+                random_member_strategy(
+                    rng, g, m, s, 4, rng.choice([None, None, "missing", "unavailable"])
+                )
+                for m in members
+            )
+        )
+        for depth in range(5):
+            want = saturate_or_error(reference_saturate, g, s, team, depth)
+            got = saturate_or_error(saturate, g, s, team, depth)
+            assert got == want
+            if isinstance(want, tuple):
+                raised[want[0]] += 1
+                continue
+            assert [got.nodes_at_depth(n) for n in range(depth + 2)] == [
+                want.nodes_at_depth(n) for n in range(depth + 2)
+            ]
+            assert all(got.children(v) == want.children(v) for v in want.nodes())
     assert raised[StrategyUndefined] and raised[StrategyError]
