@@ -23,7 +23,7 @@ import itertools
 from typing import AbstractSet, Iterable, Mapping
 
 from .cgs import Cgs, History, JointAction, successor
-from .strategies import TeamStrategy, agent_factor, compatible_in_order
+from .strategies import TeamStrategy, agent_factor, compatible_in_order, team_members
 
 NodeId = int
 Path = tuple[JointAction, ...]
@@ -175,6 +175,12 @@ class ComputationTree:
             return []
         return list(range(self._starts[n], self._starts[n + 1]))
 
+    def parents_at_depth(self, n: int) -> list[NodeId]:
+        """The parents of :meth:`nodes_at_depth`, in order; the root's is -1."""
+        if not 0 <= n <= self.max_depth:
+            return []
+        return self._parent[self._starts[n] : self._starts[n + 1]]
+
     def history(self, v: NodeId) -> History:
         """State labels along the path from the root to ``v``, inclusive."""
         v = self._check(v)
@@ -226,7 +232,7 @@ def extend(
     return ComputationTree(t.root_label, labels)
 
 
-def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int, _carry=None) -> ComputationTree:
+def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int) -> ComputationTree:
     """The maximal tree of extension steps with paths of at most depth+1 nodes.
 
     Extensions at distinct (node, action) pairs commute, so the result
@@ -238,18 +244,14 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int, _carry=None) -> Com
     actions and successors are generated once per (state, members'
     actions), in sorted order, so each level comes out in path order and
     its nodes take their ids as they come.  Errors are those of the
-    histories, at the same node.  ``_carry`` is a pair (step, notes):
-    each node ``v`` added below ``u`` appends ``step(notes[u], label of
-    u, label of v)`` to ``notes``, which starts with the root's note.
+    histories, at the same node.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     g.check_state(s)
-    # compatible_in_order reads the members among agents 1..n, in order
-    members = [i for i in range(1, g.agents + 1) if i in team.members]
+    members = team_members(g, team)
     updates = [team.strategies[i].update for i in members]
     plays = [team.strategies[i].act for i in members]
-    step, notes = _carry or (None, None)
     parent: list[NodeId] = [-1]
     action: list[JointAction | None] = [None]
     label = [s]
@@ -287,11 +289,7 @@ def saturate(g: Cgs, s: str, team: TeamStrategy, depth: int, _carry=None) -> Com
         if len(label) == hi:
             break
         starts.append(len(label))
-        below = parent[hi:]
-        if step is not None:
-            ups_of = map(notes.__getitem__, below)
-            notes.extend(map(step, ups_of, map(label.__getitem__, below), label[hi:]))
-        ups = [[m[p - lo] for p in below] for m in memory]
+        ups = [[m[p - lo] for p in parent[hi:]] for m in memory]
     return ComputationTree._from_arrays(parent, action, label, starts)
 
 

@@ -85,9 +85,9 @@ class _Search:
     a later slot could save them (conflict-directed backjumping); only
     assignments that extend to no table at this depth are skipped, so
     the tables, their order and the first cut stay those of plain
-    backtracking.  Successor sets and classifications per (state,
-    member actions) are cached for the whole search; subformula
-    verdicts per state are memoised by the caller.
+    backtracking.  Classifications per (state, member actions) are
+    cached for the whole search; subformula verdicts per state are
+    memoised by the caller.
 
     ``classify`` maps a successor set to ``(bad, cont)``: a successor
     that fails the objective (or None), and the successors whose
@@ -101,7 +101,6 @@ class _Search:
         # member actions then free actions, put back in agent order
         order = members + self.free
         self._joint = _picker(tuple(order.index(i) for i in range(1, g.agents + 1)))
-        self._succ: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
         self._classify = classify
         # per state, per member actions
         self._classified: dict[str, dict[tuple[str, ...], tuple]] = {}
@@ -109,19 +108,14 @@ class _Search:
         self.first_failure: list[str] | None = None
 
     def successors(self, state: str, member_acts: tuple[str, ...]) -> tuple[str, ...]:
-        key = (state, member_acts)
-        got = self._succ.get(key)
-        if got is None:
-            free_opts = [self.g.available_sorted(i, state) for i in self.free]
-            delta, joint = self.g.delta, self._joint
-            seen: list[str] = []
-            for free_acts in itertools.product(*free_opts):
-                t = delta.get((state, joint(member_acts + free_acts)))
-                if t is not None and t not in seen:
-                    seen.append(t)
-            got = tuple(seen)
-            self._succ[key] = got
-        return got
+        free_opts = [self.g.available_sorted(i, state) for i in self.free]
+        delta, joint = self.g.delta, self._joint
+        seen: list[str] = []
+        for free_acts in itertools.product(*free_opts):
+            t = delta.get((state, joint(member_acts + free_acts)))
+            if t is not None and t not in seen:
+                seen.append(t)
+        return tuple(seen)
 
     def classified(self, state: str, member_acts: tuple[str, ...]) -> tuple:
         per_state = self._classified.setdefault(state, {})
@@ -224,7 +218,9 @@ class _Search:
                     member_acts = picks[j](acts)
                     got = cached[j].get(member_acts)
                     if got is None:
-                        got = self.classified(lasts[j], member_acts)
+                        got = cached[j][member_acts] = self._classify(
+                            self.successors(lasts[j], member_acts)
+                        )
                     bad, conts[j] = got
                     if bad is not None:
                         if self.first_failure is None:

@@ -563,16 +563,13 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     """
     if depth < 3:
         raise ValueError("depth must be at least 3")
-    m = rc.machine
     g = rc.cgs
-    # every node's facts, carried down in the saturation pass
-    step = _facts_step(g)
-    facts = [step(_NO_FACTS, None, S_INIT)]
-    t = saturate(g, S_INIT, simulating_strategy(rc), depth, _carry=(step, facts))
+    t = saturate(g, S_INIT, simulating_strategy(rc), depth)
     entries: list[ClaimEntry] = []
 
     err_level = error_level(t)
     limit = depth if err_level is None else err_level - 1
+    facts = _node_facts(g, t, limit)
     entries.append(
         ClaimEntry(
             0,
@@ -634,17 +631,17 @@ def _facts_step(g: Cgs):
     return step
 
 
-def _node_facts(g: Cgs, t: ComputationTree, limit: int) -> list[_NodeFacts | None]:
+def _node_facts(g: Cgs, t: ComputationTree, limit: int) -> list[_NodeFacts]:
     """The facts of every node down to depth ``limit``, each from its
-    parent's, indexed by node id; deeper nodes get None."""
+    parent's, indexed by node id (ids run level by level)."""
     step = _facts_step(g)
-    facts: list[_NodeFacts | None] = [None] * len(t)
-    facts[0] = step(_NO_FACTS, None, t.label(0))
-    for n in range(limit):
-        for u in t.nodes_at_depth(n):
-            up, up_label = facts[u], t.label(u)
-            for v in t.children(u):
-                facts[v] = step(up, up_label, t.label(v))
+    labels = [t.label(0)]
+    facts = [step(_NO_FACTS, None, labels[0])]
+    for n in range(1, limit + 1):
+        below, size = t.parents_at_depth(n), len(labels)
+        labels.extend(map(t.label, t.nodes_at_depth(n)))
+        ups = map(facts.__getitem__, below)
+        facts.extend(map(step, ups, map(labels.__getitem__, below), labels[size:]))
     return facts
 
 

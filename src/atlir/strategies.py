@@ -101,11 +101,15 @@ def compatible_in_order(g: Cgs, team: TeamStrategy, history: History) -> Iterato
     if not history:
         raise ValueError("histories must be non-empty")
     last = g.check_state(history[-1])
-    choices = []
-    for i in range(1, g.agents + 1):
-        st = team.strategies.get(i)
-        choices.append(agent_factor(g, i, last, None if st is None else st.action(g, history)))
+    choices = [g.available_sorted(i, last) for i in range(1, g.agents + 1)]
+    for i in team_members(g, team):
+        choices[i - 1] = agent_factor(g, i, last, team.strategies[i].action(g, history))
     return itertools.product(*choices)
+
+
+def team_members(g: Cgs, team: TeamStrategy) -> list[int]:
+    """The team's members in agent order; UnknownAgent for any not in ``g``."""
+    return [g.check_agent(i) for i in sorted(team.members)]
 
 
 def agent_factor(g: Cgs, i: int, last: str, act: str | None) -> tuple[str, ...]:

@@ -14,6 +14,7 @@ from atlir.cgs import (
     CgsError,
     InvalidCgs,
     UnknownAction,
+    UnknownAgent,
     UnknownState,
     cgs_from_json,
     cgs_to_json,
@@ -209,6 +210,28 @@ def test_load_rejects_mistyped_fields(path, value, message):
     with pytest.raises(CgsError) as exc:
         cgs_from_json(doc)
     assert str(exc.value) == f"malformed game structure document: {message}"
+
+
+@pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+        (("agents",), 0, CgsError, "agent count must be at least 1"),
+        (("states",), [], CgsError, "state set must be non-empty"),
+        (("actions",), [], CgsError, "action set must be non-empty"),
+        (("label", "x"), [], UnknownState, "labeling mentions undeclared state 'x'"),
+        (("label", "s"), ["q"], CgsError, "labeling of 's' uses undeclared proposition 'q'"),
+        (("obs", "2"), [["s"]], UnknownAgent, "observation partition for undeclared agent 2"),
+        (("obs", "1"), [["s", "x"]], UnknownState, "observation partition of agent 1 mentions 'x'"),
+        (("avail", "0"), {}, UnknownAgent, "availability for undeclared agent 0"),
+        (("avail", "1", "x"), ["a"], UnknownState, "availability of agent 1 mentions state 'x'"),
+        (("avail", "1", "s"), ["z"], UnknownAction, "availability of agent 1 at 's' uses 'z'"),
+    ],
+)
+def test_load_rejects_undeclared_names_and_empty_sets(path, value, error, message):
+    doc = _edit(cgs_to_json(tiny()), path, value)
+    with pytest.raises(error) as exc:
+        cgs_from_json(doc)
+    assert str(exc.value) == message
 
 
 def test_load_rejects_missing_field():

@@ -6,7 +6,7 @@ from machines import LBOUNCE, M5, M5_EXT, M_HALT
 from oracles import reference_main, run_cli
 
 from atlir import cli
-from atlir.cgs import load_cgs, save_cgs
+from atlir.cgs import cgs_to_json, load_cgs, save_cgs
 from atlir.cli import build_parser, main
 from atlir.reduction import build_cgs
 from atlir.turing import save_tm, tm_to_json
@@ -368,6 +368,58 @@ def test_check_allow_invalid(tmp_path, capsys):
         )
         == 0
     )
+
+
+def test_check_allow_invalid_class_without_actions(tmp_path, capsys):
+    # agent 1 has no action at t, so no table reaches past it: the search
+    # ends with no cut recorded and reports the root alone
+    doc = {
+        "agents": 2,
+        "states": ["s", "t"],
+        "props": ["ok"],
+        "label": {"s": ["ok"], "t": ["ok"]},
+        "obs": {"1": [["s"], ["t"]], "2": [["s", "t"]]},
+        "actions": ["a"],
+        "avail": {"1": {"s": ["a"]}, "2": {"s": ["a"], "t": ["a"]}},
+        "delta": [["s", ["a", "a"], "t"]],
+    }
+    path = tmp_path / "no-action.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", str(path), "--state", "s", "--formula", "<<1>> G ok", "-b", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid game structure: agent 1 has no available action at state 't'\n"
+    )
+    assert main(argv + ["--allow-invalid"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "False",
+        "bound": 2,
+        "witness": None,
+        "counterexample": ["s"],
+    }
+    assert main(argv[:-1] + ["1", "--allow-invalid"]) == 5
+
+
+def test_check_structure_with_undeclared_name(tmp_path, capsys):
+    doc = cgs_to_json(build_cgs(M_HALT).cgs)
+    doc["obs"]["1"][0].append("s_nowhere")
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--state", "s_init", "--formula", "ok", "-b", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: observation partition of agent 1 mentions 's_nowhere'\n"
+
+
+def test_reduce_machine_rule_with_undeclared_names(tmp_path, capsys):
+    doc = tm_to_json(M5)
+    doc["delta"].append(["q2", "a", "q9", "a", "R"])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rule ('q2', 'a') -> ('q9', 'a', 'R') uses undeclared names\n"
 
 
 def test_verify_claims_pass(ext_file, capsys):

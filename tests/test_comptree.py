@@ -108,6 +108,15 @@ def test_path_and_node_are_inverse(rc5):
             t.node(missing)
 
 
+def test_parents_at_depth_follow_the_paths():
+    t = random_label_tree(random.Random(3), ["s", "t", "u"], max_depth=5)
+    assert t.parents_at_depth(0) == [-1]
+    for n in range(1, t.max_depth + 1):
+        want = [t.node(t.path(v)[:-1]) for v in t.nodes_at_depth(n)]
+        assert t.parents_at_depth(n) == want
+    assert t.parents_at_depth(-1) == t.parents_at_depth(t.max_depth + 1) == []
+
+
 def test_saturate_depth_zero(rc5):
     t = saturate(rc5.cgs, S_INIT, simulating_strategy(rc5), 0)
     assert len(t) == 1 and t.root_label == S_INIT

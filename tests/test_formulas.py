@@ -101,6 +101,29 @@ def test_until_requires_u():
         parse_formula("<<1>> p q")
 
 
+def test_trailing_input_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("p q")
+    assert str(exc.value) == "trailing input 'q' (at position 2)"
+    assert exc.value.position == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<<1>> p U q",
+        "<<1,2>> !p U (q & r)",
+        "<<2>> <<1>> p U q U !<<1,3>> X r",
+        "<<1>> p U q & <<2>> G <<1>> q U p",
+    ],
+)
+def test_render_until_round_trips(text):
+    # each text is already in the canonical form, with no redundant brackets
+    f = parse_formula(text)
+    assert render_formula(f) == text
+    assert parse_formula(render_formula(f)) == f
+
+
 @pytest.mark.parametrize(
     "opener, closer, at",
     [("!", "", 0), ("ok & ", "", 3), ("(", ")", 0), ("<<1>> X ", "", 0), ("<<1>> ok U ", "", 0)],

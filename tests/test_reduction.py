@@ -22,7 +22,7 @@ from oracles import (
 
 from atlir import reduction
 from atlir.cgs import validate_cgs
-from atlir.comptree import ComputationTree, OrderingNotTotal, level
+from atlir.comptree import ComputationTree, OrderingNotTotal, is_complete_level, level
 from atlir.reduction import (
     BR1,
     BR2,
@@ -612,6 +612,76 @@ def test_first_misordered_matches_a_pair_scan():
         assert _first_misordered(shapes) == want, shapes
         seen.add(want is None)
     assert seen == {True, False}
+
+
+# (level n of LOOP3's simulation tree, {position in the level's order:
+# new label}) and the claim-3 entries of level n on the relabelled tree:
+# one case per failure detail of 3.2, 3.3 and the level forms of 3.4
+ANATOMY_FAULTS = [
+    (
+        1,
+        {0: "s_B"},
+        [("3.2", "position 1 is other"), ("3.4", "level 1 is ['s_B', 's_gen']")],
+    ),
+    (
+        1,
+        {0: "s_B", 1: S_TR},
+        [
+            ("3.2", "position 1 is other"),
+            ("3.3", "positions 1,2 not alike for agent 2"),
+            ("3.4", "level 1 is ['s_B', 's_tr']"),
+        ],
+    ),
+    (
+        2,
+        {2: S_GEN},
+        [
+            ("3.2", "position 3 is other"),
+            ("3.3", "positions 2,3 not alike for agent 1"),
+            ("3.4", "level 2 is ['s_lb', 's_B', 's_gen']"),
+        ],
+    ),
+    (
+        3,
+        {2: "s_B", 3: S_TR},
+        [
+            ("3.2", "position 4 is other"),
+            ("3.3", "positions 3,4 not alike for agent 2"),
+            ("3.4", "borders are s_lb', s_tr"),
+        ],
+    ),
+    (3, {0: "s_B"}, [("3.4", "borders are s_B, s_gen")]),
+    (3, {1: S_ERR}, [("3.4", "position 2 is s_err, not a cell")]),
+    (3, {2: "s_B"}, [("3.4", "position 3 is s_B, not a separator")]),
+    (3, {1: "s_B"}, [("3.4", "0 scanned cells, expected 1")]),
+    (5, {1: "s_q0,a"}, [("3.4", "2 scanned cells, expected 1")]),
+    (4, {0: "s_B"}, [("3.4", "border s_B, tail ['s_B', 's_tr']")]),
+    (4, {1: S_ERR}, [("3.4", "position 2 is s_err, not a cell")]),
+    (4, {2: "s_B"}, [("3.4", "position 3 is s_B")]),
+    (4, {2: S_TR2}, [("3.4", "0 move carriers, expected 1")]),
+    (6, {2: "s_q0,q1,R", 4: "s_q1,q1,R"}, [("3.4", "2 move carriers, expected 1")]),
+]
+
+
+@pytest.mark.parametrize("n, changes, failures", ANATOMY_FAULTS)
+def test_level_anatomy_failure_details(n, changes, failures):
+    rc = build_cgs(LOOP3)
+    base = simulation_tree(rc, 9)
+    labels = base.labels()
+    ordered = level(base, n, RIGHTMOST_LABELS)
+    for pos, label in changes.items():
+        assert labels[base.path(ordered[pos])] != label
+        labels[base.path(ordered[pos])] = label
+    t = ComputationTree(S_INIT, labels)
+    orders = {k: level(t, k, RIGHTMOST_LABELS) for k in range(n + 1)}
+    complete = {k for k in range(1, n + 1) if is_complete_level(t, k)}
+    assert n in complete
+    entries = []
+    _check_level_anatomy(rc, t, _node_facts(rc.cgs, t, n), orders, {}, complete, entries)
+    got = [(e.subclaim, e.detail) for e in entries if e.level == n and not e.passed]
+    assert got == failures
+    # every other claim-3 entry of the level passes: 3.1 to 3.4 once each
+    assert [e.subclaim for e in entries if e.level == n] == ["3.1", "3.2", "3.3", "3.4"]
 
 
 def test_level_anatomy_flags_a_level_above_that_is_not_complete():

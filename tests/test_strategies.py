@@ -5,8 +5,8 @@ import pytest
 
 from oracles import random_cgs, reference_outcomes, reference_saturate
 
-from atlir.cgs import Cgs
-from atlir.comptree import outcomes, saturate
+from atlir.cgs import Cgs, UnknownAgent
+from atlir.comptree import extend, outcomes, saturate, single_node
 from atlir.reduction import (
     BR1,
     BR2,
@@ -98,6 +98,28 @@ def test_unavailable_action_is_an_error():
     team = TeamStrategy.of(AgentStrategy.from_procedure(1, lambda h: "stop"))
     with pytest.raises(StrategyError):
         set(compatible_in_order(g, team, ("s0",)))
+
+
+@pytest.mark.parametrize("agent", [0, 3, 5])
+def test_members_outside_the_agents_are_rejected(agent):
+    # a member that is not an agent of the game is an error on every
+    # route that reads the team, even beside a real member whose empty
+    # table would raise, never an unconstrained extra agent
+    g = random_cgs(random.Random(7))
+    s = min(g.states)
+    a = tuple(g.available_sorted(i, s)[0] for i in (1, 2))
+    alone = TeamStrategy.of(AgentStrategy.from_table(agent, {}))
+    beside = TeamStrategy.of(AgentStrategy.from_table(1, {}), AgentStrategy.from_table(agent, {}))
+    for team in (alone, beside):
+        for route in (
+            lambda: outcomes(g, s, team, 3),
+            lambda: saturate(g, s, team, 3),
+            lambda: saturate(g, s, team, 0),
+            lambda: compatible_in_order(g, team, (s,)),
+            lambda: extend(g, team, single_node(s), 0, a),
+        ):
+            with pytest.raises(UnknownAgent, match=f"agent {agent} not in 1..2"):
+                route()
 
 
 def test_compatible_in_order_rejects_empty_history():
