@@ -105,10 +105,8 @@ class ComputationTree:
         for p in parent[1:]:
             counts[p] += 1
         self._first_child = list(itertools.accumulate(counts, initial=1))[:-1]
-        # per last_labels: the bit rows of levels 0, 1, .. (see _level_relation)
-        self._order_cache: dict[frozenset[str], list[list[int]]] = {}
-        # per (last_labels, n): level n's nodes left to right, once ordered
-        self._level_cache: dict[tuple[frozenset[str], int], list[NodeId]] = {}
+        # per last_labels: the (rows, ranks) of levels 0, 1, .. (see _level_relation)
+        self._order_cache: dict[frozenset[str], list[tuple[list[int], list[int] | None]]] = {}
 
     def _check(self, v) -> NodeId:
         if v in self:
@@ -326,15 +324,17 @@ def _is_total(rows: list[int]) -> bool:
 
 def _level_relation(
     t: ComputationTree, last_labels: frozenset[str], n: int
-) -> list[int]:
+) -> tuple[list[int], list[int] | None]:
     """The left-of relation on level ``n``, closed under transitivity.
 
-    Row ``i`` is a bitset over the level's nodes (in ``nodes_at_depth``
-    order): bit ``j`` is set when node ``i`` precedes node ``j``.  Each
-    level is built once per ``last_labels`` from the level above and
-    cached on the tree.  Base edges: every node precedes each other node
-    whose label is in ``last_labels``, and a node whose parent precedes
-    a different parent precedes all of that parent's children.
+    Returns the level's closed rows and, when they are a strict total
+    order, each node's rank in it (None otherwise).  Row ``i`` is a bitset
+    over the level's nodes (in ``nodes_at_depth`` order): bit ``j`` is set
+    when node ``i`` precedes node ``j``.  Each level is built once per
+    ``last_labels`` from the level above and cached on the tree.  Base
+    edges: every node precedes each other node whose label is in
+    ``last_labels``, and a node whose parent precedes a different parent
+    precedes all of that parent's children.
 
     Under a totally ordered level the closed rows come in closed form
     from the parents' ranks.  Let C(r) be the children of the parents
@@ -346,9 +346,9 @@ def _level_relation(
     C(r) is empty.  Under any other level the base edges are closed by
     Warshall's algorithm.
     """
-    rels = t._order_cache.setdefault(last_labels, [[0]])
-    for k in range(len(rels), n + 1):
-        above = rels[k - 1]
+    records = t._order_cache.setdefault(last_labels, [([0], [0])])
+    for k in range(len(records), n + 1):
+        above, rank = records[k - 1]
         lo, hi = t._starts[k], t._starts[k + 1]
         parents = [p - t._starts[k - 1] for p in t._parent[lo:hi]]
         child_mask = [0] * len(above)
@@ -357,10 +357,7 @@ def _level_relation(
             child_mask[p] |= 1 << j
             if s in last_labels:
                 last_mask |= 1 << j
-        # level() caches only total levels
-        if (last_labels, k - 1) in t._level_cache or _is_total(above):
-            # a parent's rank is its count of predecessors
-            rank = [len(above) - 1 - row.bit_count() for row in above]
+        if rank is not None:
             by_rank = [0] * len(above)
             for p, r in enumerate(rank):
                 by_rank[r] = child_mask[p]
@@ -394,8 +391,11 @@ def _level_relation(
                 for i, row in enumerate(rows):
                     if row & bit:
                         rows[i] = row | row_j
-        rels.append(rows)
-    return rels[n]
+        # in a total order, a node with k successors has size-1-k predecessors
+        size = len(rows)
+        ranks = [size - 1 - row.bit_count() for row in rows] if _is_total(rows) else None
+        records.append((rows, ranks))
+    return records[n]
 
 
 def level(
@@ -410,17 +410,12 @@ def level(
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    key = (frozenset(last_labels), n)
-    if key in t._level_cache:
-        return list(t._level_cache[key])
     nodes = t.nodes_at_depth(n)
     if len(nodes) <= 1:
         return nodes
-    rows = _level_relation(t, key[0], n)
-    size = len(nodes)
-    # Only a failing level is scanned pair by pair, to name the first
-    # pair left unordered.
-    if not _is_total(rows):
+    rows, rank = _level_relation(t, frozenset(last_labels), n)
+    if rank is None:
+        # name the first pair left unordered
         for (i, v), (j, w) in itertools.combinations(enumerate(nodes), 2):
             fwd, bwd = rows[i] >> j & 1, rows[j] >> i & 1
             if fwd and bwd:
@@ -433,12 +428,10 @@ def level(
                     f"level {n}: nodes labeled {t.label(v)!r} and {t.label(w)!r} "
                     f"are incomparable"
                 )
-    # in a total order, a node with k successors has size-1-k predecessors
-    ordered = [0] * size
-    for v, row in zip(nodes, rows):
-        ordered[size - 1 - row.bit_count()] = v
-    t._level_cache[key] = ordered
-    return list(ordered)
+    ordered = [0] * len(nodes)
+    for v, r in zip(nodes, rank):
+        ordered[r] = v
+    return ordered
 
 
 # -- exports -----------------------------------------------------------------

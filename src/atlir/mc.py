@@ -104,7 +104,8 @@ class _Search:
         self._classify = classify
         # per state, per member actions
         self._classified: dict[str, dict[tuple[str, ...], tuple]] = {}
-        # the failing path of the lexicographically first refuted table
+        # the failing path of the lexicographically first refuted table:
+        # it ends in a failing state, or where a member has no action
         self.first_failure: list[str] | None = None
 
     def successors(self, state: str, member_acts: tuple[str, ...]) -> tuple[str, ...]:
@@ -181,7 +182,15 @@ class _Search:
         slots = sorted(rep, key=lambda mk: (mk[0], len(mk[1]), mk[1]))
         options = [self.g.available_sorted(m, rep[(m, k)]) for m, k in slots]
         if not all(options):
-            # a class with no available action admits no table at all
+            # a class with no available action admits no table at all; if
+            # nothing failed before, its first history is the failing path
+            if self.first_failure is None:
+                empty = {slot for slot, opts in zip(slots, options) if not opts}
+                self.first_failure = next(
+                    list(h)
+                    for (h, _), keys in zip(frontier, hist_keys)
+                    if not empty.isdisjoint(zip(self.members, keys))
+                )
             return
         pos = {slot: i for i, slot in enumerate(slots)}
         rows = [tuple(pos[mk] for mk in zip(self.members, keys)) for keys in hist_keys]
@@ -271,9 +280,10 @@ def check(g: Cgs, s: str, f: Formula, bound: int) -> Verdict:
     Evidence shapes: atoms carry the state as a one-element path; the
     one-step modality carries the chosen member actions (True) or one
     failing successor per assignment (False); the globally modality
-    carries a falsifying state path; the until modality carries a
-    strategy table dump.  Negation swaps the roles, conjunction
-    propagates the deciding side.
+    carries a falsifying state path, which on a structure that fails
+    validation can instead end where a coalition member has no available
+    action; the until modality carries a strategy table dump.  Negation
+    swaps the roles, conjunction propagates the deciding side.
 
     Nested coalition modalities are evaluated by fresh state-based
     sub-checks at the same bound; their Unknowns propagate.
@@ -372,7 +382,7 @@ def _check_box(g: Cgs, s: str, f: Globally, bound: int, memo) -> Verdict:
     search = _Search(g, sorted(f.agents), classify)
     if search.run(s, bound, horizon_ok=True) is not None:
         return Verdict(Truth.UNKNOWN, bound)
-    return Verdict(Truth.FALSE, bound, counterexample=search.first_failure or [s])
+    return Verdict(Truth.FALSE, bound, counterexample=search.first_failure)
 
 
 def _check_until(g: Cgs, s: str, f: Until, bound: int, memo) -> Verdict:

@@ -353,38 +353,27 @@ def simulating_strategy(rc: ReductionCgs) -> TeamStrategy:
     pattern's next position.
     """
     m = rc.machine
-    configs: list[Configuration | None] = [parse_configuration(m, (m.q0, m.blank))]
-    # per step j: (scanned cell, direction, move action) of the rule that
-    # step j applies, or None once the machine has halted
-    moves: dict[int, tuple[int, str, str] | None] = {}
-
-    def config_after(t: int) -> Configuration | None:
-        while len(configs) <= t:
-            prev = configs[-1]
-            if prev is None:
-                configs.append(None)
-                continue
-            nxt = step(m, prev)
-            configs.append(nxt if isinstance(nxt, Configuration) else None)
-        return configs[t]
-
-    def move_of(j: int) -> tuple[int, str, str] | None:
-        c = config_after(j - 1)
-        if c is None:
-            return None
-        _, q, right = split_configuration(m, c)
-        rule = m.delta.get((q, right[0]))
-        if rule is None:
-            return None
-        return head_cell(m, c), rule[2], rc.move_actions[(q, rule[0], rule[2])]
+    # moves[j - 1]: (scanned cell, direction, move action) of the rule that
+    # machine step j applies; c is the configuration after len(moves)
+    # steps, or None once the machine has halted
+    moves: list[tuple[int, str, str]] = []
+    c: Configuration | None = parse_configuration(m, (m.q0, m.blank))
 
     def move_if(j: int, head_at: int, direction: str) -> str | None:
-        if j not in moves:
-            moves[j] = move_of(j)
-        mv = moves[j]
-        if mv is None or mv[0] != head_at or mv[1] != direction:
+        nonlocal c
+        while len(moves) < j and c is not None:
+            _, q, right = split_configuration(m, c)
+            rule = m.delta.get((q, right[0]))
+            if rule is None:
+                c = None
+                break
+            moves.append((head_cell(m, c), rule[2], rc.move_actions[(q, rule[0], rule[2])]))
+            nxt = step(m, c)
+            c = nxt if isinstance(nxt, Configuration) else None
+        if len(moves) < j:
             return None
-        return mv[2]
+        cell, d, act = moves[j - 1]
+        return act if cell == head_at and d == direction else None
 
     def playing(agent: int, spawn: str) -> AgentStrategy:
         def update(g, memory, s):
@@ -564,7 +553,7 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     if depth < 3:
         raise ValueError("depth must be at least 3")
     g = rc.cgs
-    t = saturate(g, S_INIT, simulating_strategy(rc), depth)
+    t = simulation_tree(rc, depth)
     entries: list[ClaimEntry] = []
 
     err_level = error_level(t)
@@ -855,12 +844,14 @@ def _check_form_succession(forms, complete, limit, entries):
 
 def _check_decoding(rc, t, complete, order_fail, limit, entries):
     m = rc.machine
-    # claim 4.2 at level n decodes level n + 2, which claim 4.1 reads next
-    carried = (None, None)
-    for n in sorted(complete):
-        if n < 3 or n % 2 == 0 or n in order_fail:
-            continue
-        word = carried[1] if carried[0] == n else decode_level(rc, t, n)
+    # each eligible level is decoded once: claim 4.1 reads its word, and
+    # claim 4.2 reads it again as the successor of the level two above
+    words = {
+        n: decode_level(rc, t, n)
+        for n in sorted(complete)
+        if n >= 3 and n % 2 == 1 and n not in order_fail
+    }
+    for n, word in words.items():
         heads = [k for k, x in enumerate(word) if x in m.states]
         shape_ok = (
             len(heads) == 1
@@ -868,10 +859,9 @@ def _check_decoding(rc, t, complete, order_fail, limit, entries):
             and all(x in m.alphabet for k, x in enumerate(word) if k != heads[0])
         )
         entries.append(ClaimEntry(4, "4.1", n, shape_ok, "".join(word)))
-        if n + 2 in complete and n + 2 <= limit and (n + 2) not in order_fail:
+        got = words.get(n + 2)
+        if got is not None and n + 2 <= limit:
             nxt = step(m, parse_configuration(m, word))
-            got = decode_level(rc, t, n + 2)
-            carried = (n + 2, got)
             ok = isinstance(nxt, Configuration) and nxt.word == got
             entries.append(
                 ClaimEntry(

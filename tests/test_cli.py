@@ -372,7 +372,7 @@ def test_check_allow_invalid(tmp_path, capsys):
 
 def test_check_allow_invalid_class_without_actions(tmp_path, capsys):
     # agent 1 has no action at t, so no table reaches past it: the search
-    # ends with no cut recorded and reports the root alone
+    # reports the first history that ends in that class
     doc = {
         "agents": 2,
         "states": ["s", "t"],
@@ -395,7 +395,7 @@ def test_check_allow_invalid_class_without_actions(tmp_path, capsys):
         "verdict": "False",
         "bound": 2,
         "witness": None,
-        "counterexample": ["s"],
+        "counterexample": ["s", "t"],
     }
     assert main(argv[:-1] + ["1", "--allow-invalid"]) == 5
 

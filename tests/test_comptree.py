@@ -142,6 +142,15 @@ def test_level_ordering_fig5(rc5):
     ]
 
 
+def test_level_returns_a_list_the_caller_owns(rc5):
+    t = simulation_tree(rc5, 7)
+    want = level(t, 7, RIGHTMOST_LABELS)
+    got = level(t, 7, RIGHTMOST_LABELS)
+    got.reverse()
+    got.append(0)
+    assert level(t, 7, RIGHTMOST_LABELS) == want
+
+
 def test_level_beyond_depth_is_empty(rc5):
     t = simulation_tree(rc5, 3)
     assert level(t, 9, RIGHTMOST_LABELS) == []
@@ -283,7 +292,7 @@ def _assert_relations_match(t, last_labels, seen):
     total, level total) for levels of two or more nodes."""
     want = reference_level_relation(t, last_labels, t.max_depth)
     for n, rows in enumerate(want):
-        assert _level_relation(t, last_labels, n) == rows, (n, last_labels)
+        assert _level_relation(t, last_labels, n)[0] == rows, (n, last_labels)
         if n and len(rows) >= 2:
             seen.add((_total(want[n - 1]), _total(rows)))
 

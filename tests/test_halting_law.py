@@ -12,6 +12,7 @@ import pytest
 from tnf import (
     NONHALTING_BOUND,
     STEP_LIMIT,
+    construction_violations,
     expected_verdicts,
     halting_step,
     law_violations,
@@ -76,4 +77,13 @@ def test_law_on_a_sample_of_running_three_state_machines(three_state):
     running = [m for m in three_state if halting_step(m) is None]
     sample = random.Random("tnf-3/running").sample(running, 40)
     bad = [line for m in sample for line in law_violations(m)]
+    assert bad == []
+
+
+def test_construction_law_on_the_same_machines(two_state, three_state):
+    longest = [m for m in three_state if (halting_step(m) or 0) >= 20]
+    running = [m for m in three_state if halting_step(m) is None]
+    machines = two_state + longest + random.Random("tnf-3/running").sample(running, 40)
+    assert len(machines) == 160
+    bad = [line for m in machines for line in construction_violations(m)]
     assert bad == []

@@ -451,6 +451,32 @@ def test_simulation_tree_strategy_work_is_one_step_per_node(monkeypatch, depth):
     assert dict(calls) == {(kind, i): expanded for kind in ("update", "act") for i in (1, 2)}
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n, m in SIX_MACHINES.items() if halts_within(m, 20))
+)
+def test_simulating_strategy_stops_stepping_once_the_machine_halts(monkeypatch, name):
+    """Past the halting step a deeper tree costs no more machine steps."""
+    rc = build_cgs(SIX_MACHINES[name])
+    calls = Counter()
+
+    def counted(f):
+        def call(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+
+        return call
+
+    for f in (reduction.split_configuration, reduction.step):
+        monkeypatch.setattr(reduction, f.__name__, counted(f))
+    per_depth = []
+    for depth in (41, 61):
+        calls.clear()
+        simulation_tree(rc, depth)
+        per_depth.append(dict(calls))
+    assert per_depth[0]["step"] >= 1
+    assert per_depth[0] == per_depth[1]
+
+
 @pytest.mark.parametrize("name", sorted(SIX_MACHINES))
 def test_simulating_strategy_matches_reference_on_random_histories(name):
     rc = build_cgs(SIX_MACHINES[name])

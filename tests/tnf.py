@@ -12,8 +12,13 @@ game as False at bound 2t+2 and Unknown at 2t+1; one that runs past the
 limit gives Unknown at NONHALTING_BOUND.  Each check has a time limit,
 since a broken compiler can make a check run for a long time.
 
-Run as a script for the full three-state sweep (about 9000 machines and
-three minutes)::
+The construction side of the law: the tree of the simulating strategy
+first reaches ``s_err`` at level 2t+2 of a machine that halts at step t,
+and never within NONHALTING_BOUND for one that runs past the limit, and
+its odd levels from 3 on decode to the machine's run.
+
+Run as a script for the full three-state sweep of both sides (about 9000
+machines and three and a half minutes)::
 
     PYTHONPATH=src python tests/tnf.py
 """
@@ -26,7 +31,7 @@ from contextlib import contextmanager
 
 from atlir.formulas import parse_formula
 from atlir.mc import Truth, check
-from atlir.reduction import S_INIT, build_cgs
+from atlir.reduction import S_INIT, build_cgs, verify_construction
 from atlir.turing import (
     LEFT,
     NO_RULE,
@@ -38,6 +43,7 @@ from atlir.turing import (
     run,
     split_configuration,
     step,
+    trajectory,
 )
 
 SAFE_OK = parse_formula("<<1,2>> G ok")
@@ -134,11 +140,42 @@ def law_violations(m: TuringMachine) -> list[str]:
     return out
 
 
+def construction_violations(m: TuringMachine) -> list[str]:
+    """How the construction checks on ``m``'s compiled game break the law,
+    one line per failed check; empty if they do not.
+
+    For a machine that halts at step t, ``verify_construction`` at depth
+    2t+2 fails exactly one entry, ``ok-states`` at level 2t+2, and the
+    odd levels 3..2t+1 are complete and decode (claim 4.1) to the t
+    configurations of ``turing.trajectory``.  For one that runs past the
+    limit, every entry passes at NONHALTING_BOUND, and the odd levels
+    decode to the trajectory's first configurations.
+    """
+    t = halting_step(m)
+    depth = NONHALTING_BOUND if t is None else 2 * t + 2
+    try:
+        with time_limit(CHECK_SECONDS):
+            report = verify_construction(build_cgs(m), depth)
+    except CheckTimeout:
+        return [f"{sorted(m.delta.items())}: no report within {CHECK_SECONDS} s"]
+    out = []
+    failed = [(e.subclaim, e.level) for e in report.failures()]
+    want = [] if t is None else [("ok-states", depth)]
+    if failed != want:
+        out.append(f"{sorted(m.delta.items())}: depth {depth} fails {failed}, not {want}")
+    levels = range(3, depth, 2)
+    words = [(e.level, e.detail) for e in report.entries if e.subclaim == "4.1"]
+    run_words = [(n, str(c)) for n, c in zip(levels, trajectory(m, len(levels) - 1))]
+    if words != run_words:
+        out.append(f"{sorted(m.delta.items())}: levels decode to {words}, not {run_words}")
+    return out
+
+
 def main() -> int:
     machines = tnf_machines(3)
     bad = []
     for m in machines:
-        bad += law_violations(m)
+        bad += law_violations(m) + construction_violations(m)
     print(f"{len(machines)} three-state machines, {len(bad)} violations")
     for line in bad:
         print(line)
