@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 JointAction = tuple[str, ...]
@@ -147,9 +146,16 @@ class Cgs:
                         raise UnknownAction(f"availability of agent {i} at {s!r} uses {a!r}")
                 self.avail[(i, s)] = frozenset(acts)
 
+        self._avail_sorted = {k: tuple(sorted(v)) for k, v in self.avail.items()}
+        self._succ: dict[str, tuple[str, ...]] = {}
+
         self.delta: dict[tuple[str, JointAction], str] = dict(delta)
-        if not _rows_declared(self.delta, self.states, self.actions, self.agents):
-            # walk the rows one by one to report the first bad one
+        # only rows off the available (state, joint action) pairs, or into
+        # undeclared states, are walked one by one to report the first bad one
+        available = {(s, a) for s in self.states for a in self.joint_choices(s)}
+        if available.issuperset(self.delta) and self.states.issuperset(self.delta.values()):
+            self._rows_exact = len(self.delta) == len(available)
+        else:
             rows, self.delta = self.delta, {}
             for (s, a), t in rows.items():
                 a = tuple(a)
@@ -163,9 +169,7 @@ class Cgs:
                     if x not in self.actions:
                         raise UnknownAction(f"transition at {s!r} uses undeclared action {x!r}")
                 self.delta[(s, a)] = t
-
-        self._avail_sorted = {k: tuple(sorted(v)) for k, v in self.avail.items()}
-        self._succ: dict[str, tuple[str, ...]] = {}
+            self._rows_exact = self.delta.keys() == available
 
     # -- lookups ---------------------------------------------------------
 
@@ -246,24 +250,6 @@ class Cgs:
             f"Cgs(agents={self.agents}, |S|={len(self.states)}, "
             f"|Act|={len(self.actions)}, |delta|={len(self.delta)})"
         )
-
-
-def _rows_declared(rows: dict, states, actions, agents: int) -> bool:
-    """Whether every row of ``rows`` passes the constructor's per-row
-    tests with its joint action already a tuple, tested in bulk."""
-    try:
-        if not set(map(len, rows)) <= {2}:
-            return False
-        joints = list(map(itemgetter(1), rows))
-        return (
-            states.issuperset(map(itemgetter(0), rows))
-            and states.issuperset(rows.values())
-            and set(map(type, joints)) <= {tuple}
-            and set(map(len, joints)) <= {agents}
-            and actions.issuperset(itertools.chain.from_iterable(joints))
-        )
-    except (TypeError, LookupError):
-        return False
 
 
 # -- operations ------------------------------------------------------------
@@ -368,14 +354,11 @@ def validate_cgs(g: Cgs) -> list[Violation]:
                     )
                 )
 
-    # Every available tuple is distinct, so when as many of them are
-    # defined as delta has rows, no row sits on an unavailable tuple.
-    defined = 0
+    if g._rows_exact:
+        return out
     for s in states:
-        for a in itertools.product(*[g._avail_sorted.get((i, s), ()) for i in agents]):
-            if (s, a) in g.delta:
-                defined += 1
-            else:
+        for a in g.joint_choices(s):
+            if (s, a) not in g.delta:
                 out.append(
                     Violation(
                         "PartialOnAvailableTuple",
@@ -383,8 +366,6 @@ def validate_cgs(g: Cgs) -> list[Violation]:
                         f"transition undefined at {s!r} for available joint action {a!r}",
                     )
                 )
-    if defined == len(g.delta):
-        return out
     for (s, a) in sorted(g.delta):
         if any(x not in g.avail.get((i, s), frozenset()) for i, x in enumerate(a, start=1)):
             out.append(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from array import array
 from typing import AbstractSet, Iterable, Mapping
 
 from .cgs import Cgs, History, JointAction, successor
@@ -105,8 +106,8 @@ class ComputationTree:
         for p in parent[1:]:
             counts[p] += 1
         self._first_child = list(itertools.accumulate(counts, initial=1))[:-1]
-        # per last_labels: the (rows, ranks) of levels 0, 1, .. (see _level_relation)
-        self._order_cache: dict[frozenset[str], list[tuple[list[int], list[int] | None]]] = {}
+        # per last_labels: the (rows, rank array) of levels 0, 1, .. (see _level_relation)
+        self._order_cache: dict[frozenset[str], list[tuple[list[int], array | None]]] = {}
 
     def _check(self, v) -> NodeId:
         if v in self:
@@ -324,7 +325,7 @@ def _is_total(rows: list[int]) -> bool:
 
 def _level_relation(
     t: ComputationTree, last_labels: frozenset[str], n: int
-) -> tuple[list[int], list[int] | None]:
+) -> tuple[list[int], array | None]:
     """The left-of relation on level ``n``, closed under transitivity.
 
     Returns the level's closed rows and, when they are a strict total
@@ -346,7 +347,7 @@ def _level_relation(
     C(r) is empty.  Under any other level the base edges are closed by
     Warshall's algorithm.
     """
-    records = t._order_cache.setdefault(last_labels, [([0], [0])])
+    records = t._order_cache.setdefault(last_labels, [([0], array("I", [0]))])
     for k in range(len(records), n + 1):
         above, rank = records[k - 1]
         lo, hi = t._starts[k], t._starts[k + 1]
@@ -393,7 +394,7 @@ def _level_relation(
                         rows[i] = row | row_j
         # in a total order, a node with k successors has size-1-k predecessors
         size = len(rows)
-        ranks = [size - 1 - row.bit_count() for row in rows] if _is_total(rows) else None
+        ranks = array("I", [size - 1 - r.bit_count() for r in rows]) if _is_total(rows) else None
         records.append((rows, ranks))
     return records[n]
 

@@ -450,7 +450,11 @@ def decode_level(rc: ReductionCgs, t: ComputationTree, n: int) -> tuple[str, ...
         raise IncompleteLevel(
             f"level {n} has {len(t.nodes_at_depth(n))} nodes, needs {n + 1}"
         )
-    ordered = level(t, n, RIGHTMOST_LABELS)
+    return _read_word(rc, t, level(t, n, RIGHTMOST_LABELS))
+
+
+def _read_word(rc: ReductionCgs, t: ComputationTree, ordered: list) -> tuple[str, ...]:
+    """The word of a complete level's nodes, given left to right."""
     word: list[str] = []
     for v in ordered:
         word.extend(_image(rc, t.label(v)))
@@ -585,7 +589,7 @@ def verify_construction(rc: ReductionCgs, depth: int) -> ClaimReport:
     complete = {n for n in range(1, limit + 1) if is_complete_level(t, n)}
     forms = _check_level_anatomy(rc, t, facts, orders, order_fail, complete, entries)
     _check_form_succession(forms, complete, limit, entries)
-    _check_decoding(rc, t, complete, order_fail, limit, entries)
+    _check_decoding(rc, t, complete, orders, limit, entries)
 
     return ClaimReport(depth=depth, checked_levels=limit, entries=entries)
 
@@ -842,14 +846,13 @@ def _check_form_succession(forms, complete, limit, entries):
         )
 
 
-def _check_decoding(rc, t, complete, order_fail, limit, entries):
+def _check_decoding(rc, t, complete, orders, limit, entries):
     m = rc.machine
-    # each eligible level is decoded once: claim 4.1 reads its word, and
-    # claim 4.2 reads it again as the successor of the level two above
+    # each eligible level's word is read once, from its order, for claims 4.1 and 4.2
     words = {
-        n: decode_level(rc, t, n)
+        n: _read_word(rc, t, orders[n])
         for n in sorted(complete)
-        if n >= 3 and n % 2 == 1 and n not in order_fail
+        if n >= 3 and n % 2 == 1 and n in orders
     }
     for n, word in words.items():
         heads = [k for k, x in enumerate(word) if x in m.states]

@@ -6,7 +6,8 @@ checker enumerates whole strategy tables per depth, the tree twin grows
 explicit computation trees, and the generator builds structures
 directly.  The reference level ordering closes explicit pair sets, level
 by level from the root, on every call, and the reference validator tests
-every transition row against the availability sets.  The reference
+every transition row against the availability sets, as the reference
+row check tests every row against the declared names.  The reference
 construction checks rescan whole histories: the simulating strategy for
 its spawn positions, and the claim checks for branch shapes and for
 every pair of nodes on a level; the decoding check decodes a level
@@ -24,7 +25,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from atlir.cgs import Cgs, History, Violation
+from atlir.cgs import Cgs, CgsError, History, UnknownAction, UnknownState, Violation
 from atlir.cli import _Failure, build_parser
 from atlir.comptree import (
     ComputationTree,
@@ -633,7 +634,32 @@ def random_label_tree(rng: random.Random, alphabet: str, max_depth: int):
 # atlir.cgs.validate_cgs as first written: every delta row is tested
 # against the availability sets, in sorted order, on every call.  The
 # current validator must return the very same violations in the same
-# order.
+# order.  The constructor's row checks as first written walk every row;
+# the constructor must raise the same error or keep the same rows.
+
+
+def reference_delta(agents: int, states, actions, rows) -> dict:
+    """The transition rows of a structure, checked as first written.
+
+    Each row is walked in turn, its joint action made a tuple; the
+    first row with an undeclared source, target or action, or with the
+    wrong arity, raises what the constructor raises.
+    """
+    states, actions = frozenset(states), frozenset(actions)
+    delta = {}
+    for (s, a), t in rows.items():
+        a = tuple(a)
+        if s not in states:
+            raise UnknownState(f"transition from undeclared state {s!r}")
+        if t not in states:
+            raise UnknownState(f"transition into undeclared state {t!r}")
+        if len(a) != agents:
+            raise CgsError(f"joint action {a!r} has length {len(a)}, expected {agents}")
+        for x in a:
+            if x not in actions:
+                raise UnknownAction(f"transition at {s!r} uses undeclared action {x!r}")
+        delta[(s, a)] = t
+    return delta
 
 
 def reference_validate(g: Cgs) -> list[Violation]:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from machines import FIVE_MACHINES, M_HALT
-from oracles import random_cgs, reference_validate
+from oracles import random_cgs, reference_delta, reference_validate
 
 from atlir.cgs import (
     Cgs,
@@ -356,3 +356,85 @@ def test_constructor_normalises_joint_actions():
     g = tiny(delta={("s", "a"): "t", ("t", ("a",)): "t"})
     assert g.delta == {("s", ("a",)): "t", ("t", ("a",)): "t"}
 
+
+# -- differential test of the constructor's row checks --------------------------
+
+
+class _Joint:
+    """A hashable joint action that is not a tuple."""
+
+    def __init__(self, acts):
+        self.acts = tuple(acts)
+
+    def __iter__(self):
+        return iter(self.acts)
+
+    def __hash__(self):
+        return hash(self.acts)
+
+    def __eq__(self, other):
+        return isinstance(other, _Joint) and self.acts == other.acts
+
+
+def _row_fault(kind, g, delta, actions, rng):
+    """Inject one row fault of ``kind`` into ``delta`` (and ``actions``)."""
+    (s, a), t = rng.choice(sorted(delta.items()))
+    if kind == "source":
+        delta[("nowhere", a)] = t
+    elif kind == "target":
+        delta[(s, a)] = "nowhere"
+    elif kind == "action":
+        i = rng.randrange(g.agents)
+        delta[(s, a[:i] + ("zzz",) + a[i + 1 :])] = t
+    elif kind == "arity":
+        delta[(s, a + a[:1] if rng.random() < 0.5 else a[:-1])] = t
+    elif kind == "unavailable":
+        i = rng.randrange(g.agents)
+        spare = sorted(set(actions) - g.available(i + 1, s)) or [f"z{len(actions)}"]
+        actions.update(spare)
+        delta[(s, a[:i] + (rng.choice(spare),) + a[i + 1 :])] = rng.choice(sorted(g.states))
+    elif kind == "key":
+        # in place, so the walk meets it where the row was
+        rows = list(delta.items())
+        delta.clear()
+        for key, target in rows:
+            if key == (s, a):
+                key = (s, _Joint(a) if rng.random() < 0.7 else "".join(a))
+            delta[key] = target
+
+
+ROW_FAULTS = ("source", "target", "action", "arity", "unavailable", "key", None)
+
+
+def test_constructor_rows_match_reference_walk():
+    rng = random.Random(2201)
+    seen = Counter()
+    for _ in range(600):
+        g = random_cgs(rng, max_states=5, max_actions=3)
+        delta, actions = dict(g.delta), set(g.actions)
+        kind = rng.choice(ROW_FAULTS)
+        _row_fault(kind, g, delta, actions, rng)
+        avail = {i: {s: acts for (j, s), acts in g.avail.items() if j == i} for i in (1, 2)}
+        try:
+            want = reference_delta(g.agents, g.states, actions, delta)
+        except CgsError as exc:
+            with pytest.raises(CgsError) as got:
+                Cgs(g.agents, g.states, g.props, g.label, g.obs, actions, avail, delta)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc), kind
+            seen[kind, "raised"] += 1
+            continue
+        h = Cgs(g.agents, g.states, g.props, g.label, g.obs, actions, avail, delta)
+        assert h.delta == want, kind
+        got = validate_cgs(h)
+        assert got == reference_validate(h), kind
+        seen[kind, "clean" if not got else "invalid"] += 1
+    assert set(seen) == {
+        ("source", "raised"),
+        ("target", "raised"),
+        ("action", "raised"),
+        ("arity", "raised"),
+        ("key", "raised"),
+        ("key", "clean"),
+        ("unavailable", "invalid"),
+        (None, "clean"),
+    }

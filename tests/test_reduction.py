@@ -370,12 +370,13 @@ def test_blank_writing_zigzag_decodes_correctly():
 
 def test_loop3_claims_hold_at_depth_101(monkeypatch):
     decoded = []
+    read_word = reduction._read_word
 
-    def counted(rc, t, n):
-        decoded.append(n)
-        return decode_level(rc, t, n)
+    def counted(rc, t, ordered):
+        decoded.append(len(ordered) - 1)  # a complete level n has n + 1 nodes
+        return read_word(rc, t, ordered)
 
-    monkeypatch.setattr(reduction, "decode_level", counted)
+    monkeypatch.setattr(reduction, "_read_word", counted)
     report = verify_construction(build_cgs(LOOP3), 101)
     assert report.all_pass, report.failures()[:5]
     assert report.checked_levels == 101
@@ -384,6 +385,20 @@ def test_loop3_claims_hold_at_depth_101(monkeypatch):
     assert decoded == list(range(3, 102, 2))
     digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
     assert digest == "3476e0fd21194491ff32b32fd516dcf79d0d46de8c4cd90c19583302a26ccd16"
+
+
+@pytest.mark.parametrize("name, depth", [("three_state_loop", 101), ("single_rule_halter", 21)])
+def test_construction_orders_each_checked_level_once(monkeypatch, name, depth):
+    ordered = []
+
+    def counted(t, n, last_labels=frozenset()):
+        ordered.append(n)
+        return level(t, n, last_labels)
+
+    monkeypatch.setattr(reduction, "level", counted)
+    report = verify_construction(build_cgs(SIX_MACHINES[name]), depth)
+    # claims 2, 3 and 4 all read the one order of each level
+    assert ordered == list(range(report.checked_levels + 1))
 
 
 def test_loop3_claims_hold_at_depth_201():
@@ -520,8 +535,9 @@ def test_decoding_matches_reference_with_gaps_in_the_levels(name):
         complete = {n for n in full if rng.random() < 0.8}
         order_fail = {n: "misordered" for n in full if rng.random() < 0.15}
         limit = rng.randint(3, safe)
+        orders = {n: level(t, n, RIGHTMOST_LABELS) for n in full if n not in order_fail}
         got, want = [], []
-        _check_decoding(rc, t, complete, order_fail, limit, got)
+        _check_decoding(rc, t, complete, orders, limit, got)
         reference_check_decoding(rc, t, complete, order_fail, limit, want)
         assert got == want, (complete, sorted(order_fail), limit)
 
